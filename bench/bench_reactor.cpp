@@ -1,6 +1,6 @@
 // Connection-scaling bench for the sharded reactor tier: how many concurrent
-// framed clients a federation sustains, single-tier (RemoteServer's
-// poll-everything loop) vs two-tier (4 epoll shards + root merger).
+// framed clients a federation sustains, single-tier (one epoll shard, S=1)
+// vs two-tier (4 epoll shards + root merger).
 //
 // The clients are simulated: one client-side Reactor holds every outbound
 // socket and answers each RoundRequest with a canned RoundReply (encoded once
@@ -29,7 +29,6 @@
 #include "data/synthetic_mnist.hpp"
 #include "defenses/fedavg.hpp"
 #include "net/reactor.hpp"
-#include "net/remote.hpp"
 #include "net/shard.hpp"
 #include "util/logging.hpp"
 
@@ -133,45 +132,9 @@ ScenarioResult summarize(const std::string& topology, std::size_t shards,
   return result;
 }
 
-ScenarioResult run_single_tier(std::size_t clients, std::size_t rounds,
-                               std::uint64_t seed, const data::Dataset& test,
-                               models::ImageGeometry geometry) {
-  defenses::FedAvgAggregator strategy;
-  net::RemoteServerConfig config;
-  config.expected_clients = clients;
-  config.clients_per_round = clients;
-  config.rounds = rounds;
-  config.seed = seed;
-  config.accept_timeout_ms = 120000;
-  config.round_timeout_ms = 120000;
-  config.eject_after_failures = 0;
-  net::RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
-
-  const auto start = std::chrono::steady_clock::now();
-  std::atomic<bool> done{false};
-  fl::RunHistory history;
-  // The accept phase runs inside run(), so the server thread must be live
-  // before the fleet connects (the kernel backlog alone cannot hold it).
-  std::thread server_thread{[&] {
-    history = server.run();
-    done.store(true, std::memory_order_release);
-  }};
-  CannedFleet fleet;
-  for (std::size_t i = 0; i < clients; ++i) {
-    fleet.add_client(port, static_cast<int>(i));
-  }
-  fleet.flush();
-  fleet.serve(done);
-  server_thread.join();
-  const double total =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return summarize("single-tier", 1, clients, rounds, history, total);
-}
-
-ScenarioResult run_two_tier(std::size_t clients, std::size_t shards, std::size_t rounds,
-                            std::uint64_t seed, const data::Dataset& test,
-                            models::ImageGeometry geometry) {
+ScenarioResult run_sharded(std::size_t clients, std::size_t shards, std::size_t rounds,
+                           std::uint64_t seed, const data::Dataset& test,
+                           models::ImageGeometry geometry) {
   net::HierarchicalServerConfig config;
   config.shards = shards;
   config.expected_clients = clients;
@@ -180,6 +143,7 @@ ScenarioResult run_two_tier(std::size_t clients, std::size_t shards, std::size_t
   config.seed = seed;
   config.accept_timeout_ms = 120000;
   config.round_timeout_ms = 120000;
+  config.eject_after_failures = 0;
   net::HierarchicalServer server{
       config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
       models::ClassifierArch::Mlp, geometry};
@@ -200,7 +164,8 @@ ScenarioResult run_two_tier(std::size_t clients, std::size_t shards, std::size_t
   server_thread.join();
   const double total =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return summarize("two-tier", shards, clients, rounds, history, total);
+  return summarize(shards == 1 ? "single-tier" : "two-tier", shards, clients, rounds,
+                   history, total);
 }
 
 std::string fmt(double value) {
@@ -248,8 +213,8 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioResult> results;
   std::printf("reactor scaling bench: %zu simulated clients, %zu rounds\n", clients, rounds);
-  results.push_back(run_single_tier(clients, rounds, seed, test, geometry));
-  results.push_back(run_two_tier(clients, shards, rounds, seed, test, geometry));
+  results.push_back(run_sharded(clients, 1, rounds, seed, test, geometry));
+  results.push_back(run_sharded(clients, shards, rounds, seed, test, geometry));
 
   bool ok = true;
   for (const ScenarioResult& r : results) {

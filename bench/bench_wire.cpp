@@ -3,8 +3,9 @@
 // — m = 50 clients per round, ψ ≈ 100k parameters. run_all_benches.sh merges
 // the JSON report into BENCH_wire.json; the wire_* counters carry the
 // byte accounting (per ψ, per round, and the compression ratio vs fp32),
-// which must agree with the traffic meters in fl::Server / net::RemoteServer
-// (both charge util::codec_span_wire_size for the ψ direction).
+// which must agree with the traffic meters in fl::Server (which charges
+// util::codec_span_wire_size for the ψ direction) and, up to frame headers,
+// net::HierarchicalServer (which charges the RoundReply frames it receives).
 
 #include <benchmark/benchmark.h>
 

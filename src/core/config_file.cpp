@@ -153,8 +153,6 @@ void apply_config_values(ExperimentConfig& config,
         throw std::invalid_argument{"config: shards must be positive"};
       }
     }
-    else if (key == "shard_round_timeout_ms")
-      config.shard_round_timeout_ms = to_size(value, key);
     else if (key == "reactor_poll_timeout_ms")
       config.reactor_poll_timeout_ms = to_size(value, key);
     else if (key == "reactor_idle_timeout_ms")

@@ -196,24 +196,6 @@ fl::RunHistory run_experiment(const ExperimentConfig& config) {
   return fed.run();
 }
 
-net::RemoteServerConfig remote_server_config(const ExperimentConfig& config,
-                                             std::uint16_t port) {
-  net::RemoteServerConfig remote;
-  remote.port = port;
-  remote.expected_clients = config.num_clients;
-  remote.clients_per_round = config.clients_per_round;
-  remote.rounds = config.rounds;
-  remote.server_learning_rate = config.server_learning_rate;
-  remote.seed = config.seed ^ 0x5e12e5ULL;  // must match build_federation
-  remote.accept_timeout_ms = config.remote_accept_timeout_ms;
-  remote.round_timeout_ms = config.remote_round_timeout_ms;
-  remote.min_clients = config.remote_min_clients;
-  remote.eject_after_failures = config.remote_eject_after_failures;
-  remote.psi_codec = config.wire_codec;
-  remote.psi_chunk = config.wire_chunk_size;
-  return remote;
-}
-
 net::HierarchicalServerConfig hierarchical_server_config(const ExperimentConfig& config) {
   net::HierarchicalServerConfig hier;
   hier.shards = config.shards;
@@ -223,7 +205,9 @@ net::HierarchicalServerConfig hierarchical_server_config(const ExperimentConfig&
   hier.server_learning_rate = config.server_learning_rate;
   hier.seed = config.seed ^ 0x5e12e5ULL;  // must match build_federation
   hier.accept_timeout_ms = config.remote_accept_timeout_ms;
-  hier.round_timeout_ms = config.shard_round_timeout_ms;
+  hier.min_clients = config.remote_min_clients;
+  hier.round_timeout_ms = config.remote_round_timeout_ms;
+  hier.eject_after_failures = config.remote_eject_after_failures;
   hier.reactor_poll_timeout_ms = config.reactor_poll_timeout_ms;
   hier.reactor_idle_timeout_ms = config.reactor_idle_timeout_ms;
   hier.psi_codec = config.wire_codec;

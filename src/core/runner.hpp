@@ -49,16 +49,10 @@ struct Federation {
 /// Convenience: build and run in one call.
 [[nodiscard]] fl::RunHistory run_experiment(const ExperimentConfig& config);
 
-/// Map an ExperimentConfig onto the distributed server's knob panel (same
-/// seed derivation as the in-process server so both paths sample identical
-/// client subsets). `port` 0 picks an ephemeral port.
-[[nodiscard]] net::RemoteServerConfig remote_server_config(const ExperimentConfig& config,
-                                                           std::uint16_t port = 0);
-
-/// Map an ExperimentConfig onto the two-tier topology's knob panel (seed
+/// Map an ExperimentConfig onto the socket federation's knob panel (seed
 /// derivation matches the in-process server, so a HierarchicalServer run and
-/// an fl::Server run with the same shards draw identical samples). Shard
-/// listeners always bind ephemeral ports.
+/// an fl::Server run with the same shards draw identical samples). The port
+/// stays 0 (ephemeral shard listeners); callers that need a fixed one set it.
 [[nodiscard]] net::HierarchicalServerConfig hierarchical_server_config(
     const ExperimentConfig& config);
 

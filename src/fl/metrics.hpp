@@ -22,7 +22,7 @@ struct RoundRecord {
   std::size_t sampled_clients = 0;
   std::size_t sampled_malicious = 0;
   std::size_t stragglers = 0;  // sampled clients that failed to respond
-  // Remote-path fault accounting (net::RemoteServer): how each sampled
+  // Socket-path fault accounting (net::HierarchicalServer): how each sampled
   // client that failed to contribute this round actually failed.
   std::size_t dropouts = 0;        // connection died (EOF/reset/send failure)
   std::size_t timeouts = 0;        // round deadline expired with no reply

@@ -162,8 +162,8 @@ std::size_t Reactor::poll_once(std::chrono::milliseconds timeout) {
     // The connection may have been dropped by an earlier event in this batch.
     if (connections_.find(tag) == connections_.end()) continue;
     if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
-      // Fatal socket state. EPOLLRDHUP alone (peer half-close) still lets the
-      // read path drain buffered bytes first, so it is not handled here.
+      // Fatal socket state: a reset is a lost link, not a Truncated frame.
+      // EPOLLRDHUP alone (half-close) lets the read path drain bytes first.
       drop(tag);
       continue;
     }
@@ -201,7 +201,7 @@ void Reactor::handle_readable(ConnectionId id) {
     }
     if (status == IoStatus::WouldBlock) return;
     if (status == IoStatus::Closed) {
-      drop(id);
+      drop_peer(id);
       return;
     }
     connection.read_pos += transferred;
@@ -283,7 +283,8 @@ bool Reactor::advance_frame_payload_done(ConnectionId id, Connection& connection
     // the callback may elect to keep the connection.
     const bool keep =
         callbacks_.on_decode_error ? callbacks_.on_decode_error(id, error) : false;
-    if (!keep) {
+    // The callback may itself have closed the connection.
+    if (!keep || connections_.find(id) == connections_.end()) {
       drop(id);
       return false;
     }
@@ -378,6 +379,25 @@ std::size_t Reactor::pending_write_bytes() const noexcept {
 }
 
 void Reactor::close_connection(ConnectionId id) { drop(id); }
+
+void Reactor::close_all() {
+  scratch_ids_.clear();
+  for (const auto& [id, connection] : connections_) scratch_ids_.push_back(id);
+  for (const ConnectionId id : scratch_ids_) drop(id);
+}
+
+void Reactor::drop_peer(ConnectionId id) {
+  const auto it = connections_.find(id);
+  if (it == connections_.end()) return;
+  if (it->second.read_state == Connection::ReadState::Payload &&
+      callbacks_.on_decode_error) {
+    // The header promised more bytes than the peer delivered: a corrupt
+    // (truncated) frame, not a clean close — same as receive_message.
+    (void)callbacks_.on_decode_error(
+        id, DecodeError{DecodeErrorCode::Truncated, "reactor: peer closed mid-payload"});
+  }
+  drop(id);
+}
 
 void Reactor::drop(ConnectionId id) {
   auto it = connections_.find(id);

@@ -1,8 +1,7 @@
 #pragma once
 // Epoll-based non-blocking event loop: one thread holds thousands of framed
 // TCP connections (the shard tier of the hierarchical topology, and the
-// simulated-client harness in bench_reactor). Replaces the poll-everything
-// collection loop of RemoteServer for shard-scale fan-in.
+// simulated-client harness in bench_reactor).
 //
 // Per connection the reactor runs a read state machine over the CRC-framed
 // wire protocol (net/message.hpp): header bytes -> decode_frame_header ->
@@ -43,7 +42,8 @@ class Reactor {
     /// A complete, CRC-verified frame arrived.
     std::function<void(ConnectionId, Message&&)> on_message;
     /// The connection is gone (peer close, fatal decode, close_connection,
-    /// idle sweep). Fired exactly once per registered connection.
+    /// idle sweep). Fired exactly once per registered connection; an EOF
+    /// mid-payload first fires on_decode_error(Truncated), a reset does not.
     std::function<void(ConnectionId)> on_close;
     /// A frame failed to decode. Return true to keep the connection (only
     /// honoured for BadCrc/BadShape, where the byte stream is still in
@@ -95,6 +95,8 @@ class Reactor {
   /// Deregister + close a connection (fires on_close). Unknown ids are a
   /// no-op, so callers may close from inside callbacks without bookkeeping.
   void close_connection(ConnectionId id);
+  /// close_connection for every registered connection.
+  void close_all();
 
   [[nodiscard]] std::size_t connection_count() const noexcept {
     return connections_.size();
@@ -144,6 +146,8 @@ class Reactor {
   void flush_writes(ConnectionId id, Connection& connection);
   void arm_writes(Connection& connection, int fd, ConnectionId id, bool enabled);
   void drop(ConnectionId id);
+  /// The peer closed (EOF): report a half-received frame as Truncated, drop.
+  void drop_peer(ConnectionId id);
 
   Callbacks callbacks_;
   obs::HttpResponder http_;

@@ -1,141 +1,22 @@
 #pragma once
-// Distributed federation over TCP: the deployment shape of the paper's
-// testbed (one server process, N client processes; §IV-E). The server
-// accepts clients up to a deadline, then per round sends the global
-// parameters to the sampled subset, collects their updates, aggregates with
-// any AggregationStrategy, and evaluates — semantically identical to the
-// in-process fl::Server, with traffic now crossing real sockets.
+// Client endpoint of the socket federation (the paper's testbed shape: one
+// server process, N client processes; §IV-E). The server side is
+// net::HierarchicalServer (net/shard.hpp), single-tier with shards = 1.
 //
-// Fault tolerance: the server never blocks forever on a dead or slow peer.
-// The accept phase has a deadline (proceed with >= min_clients or fail
-// loudly); each round collects replies under a poll-based deadline and
-// aggregates over whichever sampled clients responded in time (mirroring the
-// in-process straggler path in fl::Server::run_round); corrupt frames are
-// caught by the CRC-checked protocol and counted, never decoded into garbage
-// updates; clients that fail eject_after_failures consecutive rounds are
-// ejected from the federation; disconnected clients may rejoin between
-// rounds (the client loop reconnects with backoff). Every failure is
-// recorded per round in RoundRecord (dropouts / timeouts / corrupt_frames /
-// ejected_clients).
-//
-// The client side is a loop suitable for a standalone process (see
+// The client is a loop suitable for a standalone process (see
 // examples/distributed_demo.cpp): connect (with retry/backoff), announce the
 // client id, answer RoundRequests with locally trained updates until
 // Shutdown, reconnecting if the link drops. An optional FaultInjector
 // deterministically perturbs the reply path for chaos testing.
 
 #include <cstdint>
-#include <memory>
+#include <string>
 
-#include "data/dataset.hpp"
-#include "defenses/aggregation.hpp"
 #include "fl/client.hpp"
-#include "fl/metrics.hpp"
 #include "net/fault_injector.hpp"
 #include "net/socket.hpp"
-#include "net/telemetry_http.hpp"
-#include "obs/metrics.hpp"
-#include "util/serialize.hpp"
 
 namespace fedguard::net {
-
-struct RemoteServerConfig {
-  std::uint16_t port = 0;              // 0 = ephemeral (read back via port())
-  std::size_t expected_clients = 0;    // N: accept() up to the deadline
-  std::size_t clients_per_round = 1;   // m
-  std::size_t rounds = 1;              // R
-  float server_learning_rate = 1.0f;
-  std::size_t eval_batch_size = 256;
-  std::uint64_t seed = 1;
-  // ---- Fault-tolerance deadlines / policy -----------------------------------
-  /// Accept-phase deadline: stop waiting for connections after this long.
-  std::size_t accept_timeout_ms = 30000;
-  /// Minimum connected clients to start the run; 0 means "all expected".
-  /// Fewer than this after the accept deadline raises std::runtime_error
-  /// (instead of the pre-deadline behavior of blocking forever).
-  std::size_t min_clients = 0;
-  /// Per-round reply-collection deadline; sampled clients that miss it are
-  /// recorded as timeouts and the round aggregates without them.
-  std::size_t round_timeout_ms = 30000;
-  /// How long to wait at a round boundary for disconnected clients to rejoin.
-  std::size_t readmit_timeout_ms = 2000;
-  /// Eject a client after this many consecutive failed rounds (0 = never).
-  std::size_t eject_after_failures = 3;
-  // ---- ψ-upload wire codec --------------------------------------------------
-  /// Encoding the server asks clients to use for reply ψ spans (q8 cuts the
-  /// upload ~4×). Replies self-tag their codec, so a client that ignores the
-  /// offer (RemoteClientOptions::force_fp32) still interoperates.
-  util::WireCodec psi_codec = util::WireCodec::Fp32;
-  /// Elements per q8 quantization chunk (ignored by other codecs).
-  std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
-  // ---- Live exposition ------------------------------------------------------
-  /// Port for the server's scrape endpoints (/metrics, /metrics.json,
-  /// /healthz), served by a standalone TelemetryHttpServer thread; 0 = off.
-  std::uint16_t http_port = 0;
-};
-
-/// Server endpoint of the distributed federation.
-class RemoteServer {
- public:
-  /// Binds immediately so clients can start connecting; `strategy` and
-  /// `test_set` must outlive the server.
-  RemoteServer(RemoteServerConfig config, defenses::AggregationStrategy& strategy,
-               const data::Dataset& test_set, models::ClassifierArch arch,
-               models::ImageGeometry geometry);
-
-  /// The bound port (useful when config.port was 0).
-  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
-
-  /// Accept clients (up to the deadline), run every round, send Shutdown,
-  /// and return the run history. Blocking, but bounded: every socket wait
-  /// has a deadline, so a dead peer can delay a run, never hang it.
-  /// Throws std::runtime_error if fewer than the required minimum of
-  /// clients connect within accept_timeout_ms.
-  [[nodiscard]] fl::RunHistory run();
-
-  /// The current global parameter vector (the final model after run()).
-  [[nodiscard]] std::span<const float> global_parameters() const noexcept {
-    return global_parameters_;
-  }
-
- private:
-  struct Session;
-
-  void accept_clients(std::vector<Session>& sessions);
-  void readmit_disconnected(std::vector<Session>& sessions);
-  [[nodiscard]] fl::RoundRecord run_round(std::size_t round,
-                                          std::vector<Session>& sessions);
-  void evaluate_round(fl::RoundRecord& record);
-
-  RemoteServerConfig config_;
-  defenses::AggregationStrategy& strategy_;
-  const data::Dataset& test_set_;
-  models::ImageGeometry geometry_;
-  TcpListener listener_;
-  std::unique_ptr<TelemetryHttpServer> http_server_;  // config.http_port != 0
-  std::unique_ptr<models::Classifier> eval_classifier_;
-  std::vector<float> global_parameters_;
-  util::Rng rng_;
-  // Round-persistent scratch: replies deserialize straight into arena rows
-  // (one slot per sampled client, in sample order); the aggregation sees a
-  // row-index view over the slots that actually filled this round.
-  defenses::UpdateMatrix arena_;
-  defenses::AggregationResult result_;
-  std::vector<bool> row_filled_;
-  std::vector<std::size_t> row_indices_;
-  // Registry instruments (docs/OBSERVABILITY.md §net_*). RoundRecord's
-  // traffic and fault fields are per-round deltas of these counters — the
-  // registry is the single source of truth for fault accounting.
-  obs::Counter rounds_total_;
-  obs::Counter upload_bytes_total_;
-  obs::Counter download_bytes_total_;
-  obs::Counter dropouts_total_;
-  obs::Counter timeouts_total_;
-  obs::Counter corrupt_frames_total_;
-  obs::Counter ejected_clients_total_;
-  obs::Histogram round_seconds_;
-  obs::Gauge arena_capacity_bytes_;
-};
 
 /// Client-side retry/backoff policy and optional chaos injection.
 struct RemoteClientOptions {

@@ -15,37 +15,43 @@ namespace fedguard::net {
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
 
+namespace {
+
+/// How long a round boundary waits for lost (admitted, non-ejected) clients
+/// to rejoin. A constant, not a knob: seeded chaos replays stay deterministic
+/// only if every rejoin lands inside the window, and clients reconnect with
+/// backoff far below it.
+constexpr milliseconds kRejoinWindow{2000};
+
+}  // namespace
+
+void ShardRoundReport::clear() noexcept {
+  partial.clear();
+  dropouts = 0;
+  timeouts = 0;
+  corrupt_frames = 0;
+  rejected_malicious = 0;
+  rejected_benign = 0;
+  upload_bytes = 0;
+  download_bytes = 0;
+}
+
 // ---- ShardAggregator ---------------------------------------------------------
 
 ShardAggregator::ShardAggregator(ShardConfig config,
                                  std::unique_ptr<defenses::AggregationStrategy> strategy)
     : config_{config},
       strategy_{std::move(strategy)},
-      listener_{0, config.listen_backlog},
+      listener_{config.port, config.listen_backlog},
       reactor_{Reactor::Callbacks{
           // on_accept: nothing until the peer introduces itself with Hello.
           nullptr,
           [this](Reactor::ConnectionId id, Message&& message) {
             handle_message(id, std::move(message));
           },
-          [this](Reactor::ConnectionId id) {
-            const auto it = connection_clients_.find(id);
-            if (it != connection_clients_.end()) {
-              client_connections_.erase(it->second);
-              connection_clients_.erase(it);
-              util::MutexLock lock{mutex_};
-              registered_ = client_connections_.size();
-            }
-            // A cohort member that dies mid-round can no longer answer; its
-            // slot simply stays unfilled and the round completes without it.
-            pending_slots_.erase(id);
-          },
-          [this](Reactor::ConnectionId, const DecodeError& error) {
-            corrupt_frames_total_.add(1);
-            // BadCrc leaves the byte stream in sync (reactor enforces that
-            // only BadCrc/BadShape keeps are honoured); everything else
-            // means desync and the reactor drops the link regardless.
-            return error.code() == DecodeErrorCode::BadCrc;
+          [this](Reactor::ConnectionId id) { handle_close(id); },
+          [this](Reactor::ConnectionId id, const DecodeError& error) {
+            return handle_decode_error(id, error);
           }}} {
   if (!strategy_) {
     throw std::invalid_argument{"ShardAggregator: null strategy"};
@@ -56,6 +62,7 @@ ShardAggregator::ShardAggregator(ShardConfig config,
   corrupt_frames_total_ = registry.counter("net_shard_corrupt_frames_total" + label);
   rounds_total_ = registry.counter("net_shard_rounds_total" + label);
   timeouts_total_ = registry.counter("net_shard_timeouts_total" + label);
+  refused_hellos_total_ = registry.counter("net_shard_refused_hellos_total" + label);
   telemetry_reports_total_ = registry.counter("net_shard_telemetry_reports_total" + label);
   telemetry_events_total_ = registry.counter("net_shard_telemetry_events_total" + label);
   arena_capacity_bytes_ = registry.gauge("obs_arena_capacity_bytes" + label);
@@ -74,7 +81,7 @@ ShardAggregator::~ShardAggregator() { kill(); }
 
 std::size_t ShardAggregator::registered_clients() const {
   util::MutexLock lock{mutex_};
-  return registered_;
+  return admitted_.size();
 }
 
 bool ShardAggregator::alive() const {
@@ -82,10 +89,33 @@ bool ShardAggregator::alive() const {
   return running_;
 }
 
+void ShardAggregator::close_admission(std::vector<int>& admitted) {
+  util::MutexLock lock{mutex_};
+  admission_open_ = false;
+  admitted.insert(admitted.end(), admitted_.begin(), admitted_.end());
+}
+
+void ShardAggregator::await_rejoins(Clock::time_point deadline) {
+  util::MutexLock lock{mutex_};
+  while (lost_ > 0 && running_) {
+    const auto now = Clock::now();
+    if (now >= deadline) return;
+    (void)cv_.wait_for(mutex_,
+                       std::chrono::duration_cast<milliseconds>(deadline - now) +
+                           milliseconds{1});
+  }
+}
+
+void ShardAggregator::take_ejected(std::vector<int>& out) {
+  util::MutexLock lock{mutex_};
+  out.insert(out.end(), ejected_.begin(), ejected_.end());
+  ejected_.clear();
+}
+
 void ShardAggregator::start_round(RoundCommand command) {
   {
     util::MutexLock lock{mutex_};
-    if (!running_) return;  // dead shard: the root's wait_partial will time out
+    if (!running_) return;  // dead shard: the root's wait_report will time out
     command_ = Command::Round;
     pending_round_ = std::move(command);
     published_ = false;
@@ -93,8 +123,8 @@ void ShardAggregator::start_round(RoundCommand command) {
   reactor_.wake();
 }
 
-bool ShardAggregator::wait_partial(Clock::time_point deadline, std::size_t round,
-                                   defenses::ShardPartial& out) {
+bool ShardAggregator::wait_report(Clock::time_point deadline, std::size_t round,
+                                  ShardRoundReport& out) {
   util::MutexLock lock{mutex_};
   while (!(published_ && published_round_ == round)) {
     if (!running_) return false;
@@ -104,8 +134,8 @@ bool ShardAggregator::wait_partial(Clock::time_point deadline, std::size_t round
         std::chrono::duration_cast<milliseconds>(deadline - now) + milliseconds{1};
     (void)cv_.wait_for(mutex_, remaining);
   }
-  out = std::move(published_partial_);
-  published_partial_.clear();
+  // Swap, not move: both sides keep recycling the same buffers every round.
+  std::swap(out, published_report_);
   published_ = false;
   return true;
 }
@@ -172,12 +202,11 @@ void ShardAggregator::begin_round(RoundCommand command) {
   arena_capacity_bytes_.set(static_cast<std::int64_t>(arena_.capacity_bytes()));
   slot_filled_.assign(cohort_size, false);
   pending_slots_.clear();
-  slots_missing_ = 0;
   next_fold_ = 0;
   exact_ = strategy_->supports_exact_merge();
   building_.clear();
-  building_.shard_id = config_.shard_id;
-  building_.exact = exact_;
+  building_.partial.shard_id = config_.shard_id;
+  building_.partial.exact = exact_;
   in_round_ = true;
   round_deadline_ = Clock::now() + config_.round_timeout;
 
@@ -188,40 +217,23 @@ void ShardAggregator::begin_round(RoundCommand command) {
     const int client_id = round_command_.cohort[slot];
     const auto it = client_connections_.find(client_id);
     if (it == client_connections_.end() || !reactor_.send(it->second, request)) {
-      ++slots_missing_;  // never joined, or already gone: slot cannot fill
+      // No live link, or the send failed: the slot cannot fill.
+      ++building_.dropouts;
+      fail_client(client_id);
       continue;
     }
+    building_.upload_bytes += kFrameHeaderBytes + request.payload.size();
     pending_slots_[it->second] = slot;
   }
+  round_sent_ns_ = obs::now_ns();
   finish_round_if_done();  // an entirely-absent cohort publishes immediately
 }
 
 void ShardAggregator::handle_message(Reactor::ConnectionId connection, Message&& message) {
   switch (message.type) {
-    case MessageType::Hello: {
-      int client_id = -1;
-      try {
-        client_id = decode_hello(message.payload);
-      } catch (const DecodeError&) {
-        corrupt_frames_total_.add(1);
-        reactor_.close_connection(connection);
-        return;
-      }
-      const auto it = client_connections_.find(client_id);
-      if (it != client_connections_.end() && it->second != connection) {
-        // Rejoin: the newest link for an id wins (mirrors RemoteServer's
-        // readmission); closing the stale one fires on_close, which erases
-        // the old map entries before we insert the new ones.
-        reactor_.close_connection(it->second);
-      }
-      client_connections_[client_id] = connection;
-      connection_clients_[connection] = client_id;
-      {
-        util::MutexLock lock{mutex_};
-        registered_ = client_connections_.size();
-      }
+    case MessageType::Hello:
+      handle_hello(connection, message);
       return;
-    }
     case MessageType::RoundReply:
       handle_reply(connection, message);
       return;
@@ -235,23 +247,98 @@ void ShardAggregator::handle_message(Reactor::ConnectionId connection, Message&&
   }
 }
 
+void ShardAggregator::handle_hello(Reactor::ConnectionId connection, const Message& message) {
+  int client_id = -1;
+  try {
+    client_id = decode_hello(message.payload);
+  } catch (const DecodeError&) {
+    corrupt_frames_total_.add(1);
+    reactor_.close_connection(connection);
+    return;
+  }
+  // The root routes each sampled id to its owning shard: admit only our own.
+  const bool owned = client_id >= config_.first_client && client_id < config_.last_client;
+  const auto member = members_.find(client_id);
+  bool admit = false;
+  if (owned) {
+    util::MutexLock lock{mutex_};
+    if (admission_open_) {
+      if (member == members_.end()) admitted_.push_back(client_id);
+      admit = true;
+    } else {
+      admit = member != members_.end() && !member->second.ejected;
+    }
+  }
+  if (!admit) {
+    refused_hellos_total_.add(1);
+    util::log_warn("shard %zu: refusing client %d (not owned, not admitted, or ejected)",
+                   config_.shard_id, client_id);
+    reactor_.close_connection(connection);
+    return;
+  }
+  if (member == members_.end()) {
+    members_[client_id].rtt = obs::Registry::global().histogram(
+        "net_client_rtt_seconds{client=\"" + std::to_string(client_id) + "\"}");
+  }
+  const auto it = client_connections_.find(client_id);
+  if (it != client_connections_.end() && it->second != connection) {
+    // Rejoin: the newest link for an id wins; closing the stale one fires
+    // on_close, which erases the old map entries before we insert the new.
+    reactor_.close_connection(it->second);
+  }
+  client_connections_[client_id] = connection;
+  connection_clients_[connection] = client_id;
+  publish_links();
+}
+
+void ShardAggregator::handle_close(Reactor::ConnectionId connection) {
+  // A cohort member whose link dies mid-round (close mid-header, reset) can
+  // no longer answer: a dropout.
+  if (pending_slots_.count(connection) != 0) fail_slot(connection, building_.dropouts);
+  const auto it = connection_clients_.find(connection);
+  if (it == connection_clients_.end()) return;
+  client_connections_.erase(it->second);
+  connection_clients_.erase(it);
+  publish_links();
+}
+
+bool ShardAggregator::handle_decode_error(Reactor::ConnectionId connection,
+                                          const DecodeError& error) {
+  corrupt_frames_total_.add(1);
+  if (pending_slots_.count(connection) != 0) {
+    fail_slot(connection, building_.corrupt_frames);
+  }
+  // BadCrc leaves the byte stream in sync (the reactor honours keeps only for
+  // BadCrc/BadShape); everything else means desync and the link drops.
+  return error.code() == DecodeErrorCode::BadCrc;
+}
+
 void ShardAggregator::handle_reply(Reactor::ConnectionId connection, const Message& message) {
   if (!in_round_) return;  // a straggler answering a round we already published
   const auto pending = pending_slots_.find(connection);
-  if (pending == pending_slots_.end()) return;  // not sampled, or already answered
+  if (pending == pending_slots_.end()) return;  // not sampled, or already settled
   const std::size_t slot = pending->second;
   std::size_t reply_round = 0;
   try {
     reply_round = decode_round_reply_into(message.payload, arena_.row(slot));
-  } catch (const DecodeError&) {
-    // Frame CRC passed but the shape is wrong for the round arena: count it
-    // and keep both the link and the pending slot (a correct reply may follow).
+  } catch (const DecodeError& error) {
+    // CRC passed but the body does not fit the round: the slot fails for
+    // this round. A wrong shape leaves the stream framed; anything else
+    // means the peer can no longer be trusted.
     corrupt_frames_total_.add(1);
+    fail_slot(connection, building_.corrupt_frames);
+    if (error.code() != DecodeErrorCode::BadShape) reactor_.close_connection(connection);
     return;
   }
-  if (reply_round != round_command_.round) return;  // stale answer, keep waiting
+  building_.download_bytes += kFrameHeaderBytes + message.payload.size();
+  // A delayed answer to an earlier round is real traffic but stale data:
+  // keep waiting for this round's reply on the same link.
+  if (reply_round != round_command_.round) return;
   pending_slots_.erase(pending);
   slot_filled_[slot] = true;
+  Member& member = members_[round_command_.cohort[slot]];
+  member.consecutive_failures = 0;
+  member.rtt.observe(static_cast<double>(obs::now_ns() - round_sent_ns_) * 1e-9);
   replies_total_.add(1);
   if (exact_) fold_ready_rows();
 }
@@ -270,13 +357,55 @@ void ShardAggregator::handle_telemetry(const Message& message) {
   telemetry_events_total_.add(ingest_telemetry_report(report, obs::now_ns()));
 }
 
+void ShardAggregator::fail_slot(Reactor::ConnectionId connection, std::size_t& tally) {
+  const auto pending = pending_slots_.find(connection);
+  const int client_id = round_command_.cohort[pending->second];
+  pending_slots_.erase(pending);  // settled: never counted twice
+  ++tally;
+  fail_client(client_id);
+}
+
+void ShardAggregator::fail_client(int client_id) {
+  const auto it = members_.find(client_id);
+  if (it == members_.end()) return;  // never admitted here: nothing to track
+  Member& member = it->second;
+  ++member.consecutive_failures;
+  if (config_.eject_after_failures == 0 || member.ejected ||
+      member.consecutive_failures < config_.eject_after_failures) {
+    return;
+  }
+  member.ejected = true;
+  ++ejected_count_;
+  {
+    util::MutexLock lock{mutex_};
+    ejected_.push_back(client_id);
+  }
+  util::log_warn("shard %zu: ejecting client %d after %zu consecutive failures",
+                 config_.shard_id, client_id, member.consecutive_failures);
+  const auto link = client_connections_.find(client_id);
+  if (link != client_connections_.end()) reactor_.close_connection(link->second);
+  publish_links();
+}
+
+void ShardAggregator::publish_links() {
+  // Every live link belongs to an admitted, non-ejected member.
+  const std::size_t members = members_.size() - ejected_count_;
+  const std::size_t live = client_connections_.size();
+  {
+    util::MutexLock lock{mutex_};
+    lost_ = members > live ? members - live : 0;
+  }
+  cv_.notify_all();
+}
+
 void ShardAggregator::fold_ready_rows() {
   // Dynamic batching: fold the contiguous filled prefix the moment it grows.
   // Total fold order is ascending slot order (publish_partial folds the
   // gapped remainder the same way), which is exactly the batch fold order —
   // the bit-identity contract of fold_exact_update.
   while (next_fold_ < slot_filled_.size() && slot_filled_[next_fold_]) {
-    defenses::fold_exact_update(building_, arena_.psi(next_fold_), arena_.meta(next_fold_));
+    defenses::fold_exact_update(building_.partial, arena_.psi(next_fold_),
+                                arena_.meta(next_fold_));
     ++next_fold_;
   }
 }
@@ -284,9 +413,10 @@ void ShardAggregator::fold_ready_rows() {
 void ShardAggregator::finish_round_if_done() {
   if (!in_round_) return;
   if (!pending_slots_.empty() && Clock::now() < round_deadline_) return;
-  if (!pending_slots_.empty()) {
-    timeouts_total_.add(pending_slots_.size());
-    pending_slots_.clear();
+  // No reply by the deadline: a timeout. The link stays up.
+  timeouts_total_.add(pending_slots_.size());
+  while (!pending_slots_.empty()) {
+    fail_slot(pending_slots_.begin()->first, building_.timeouts);
   }
   publish_partial();
 }
@@ -297,41 +427,55 @@ void ShardAggregator::publish_partial() {
   for (std::size_t slot = 0; slot < slot_filled_.size(); ++slot) {
     if (slot_filled_[slot]) filled_slots_.push_back(slot);
   }
+  defenses::ShardPartial& partial = building_.partial;
   if (exact_) {
     // Fold the slots past the first gap (ascending, same total order as the
-    // batch fold). building_ already holds the contiguous prefix.
+    // batch fold). The partial already holds the contiguous prefix; exact
+    // strategies reject nobody.
     for (const std::size_t slot : filled_slots_) {
       if (slot < next_fold_) continue;
-      defenses::fold_exact_update(building_, arena_.psi(slot), arena_.meta(slot));
+      defenses::fold_exact_update(partial, arena_.psi(slot), arena_.meta(slot));
     }
   } else if (!filled_slots_.empty()) {
     const defenses::UpdateView view{arena_, filled_slots_};
     defenses::AggregationContext context;
     context.round = round_command_.round;
     context.global_parameters = *round_command_.global_parameters;
-    strategy_->partial_aggregate_into(context, view, config_.shard_id, building_);
+    strategy_->partial_aggregate_into(context, view, config_.shard_id, partial);
+    // Detection quality of the shard-local split (the root's merge unions
+    // the per-shard rejected sets, so per-shard tallies sum exactly).
+    for (std::size_t k = 0; k < view.count(); ++k) {
+      const defenses::UpdateMeta& meta = view.meta(k);
+      if (std::find(partial.rejected_clients.begin(), partial.rejected_clients.end(),
+                    meta.client_id) == partial.rejected_clients.end()) {
+        continue;
+      }
+      ++(meta.truly_malicious ? building_.rejected_malicious : building_.rejected_benign);
+    }
   }
-  // (0 replies: building_ stays cleared with client_count == 0 — the root
+  // (0 replies: the partial stays cleared with client_count == 0 — the root
   // skips it when merging.)
   in_round_ = false;
   rounds_total_.add(1);
   {
     util::MutexLock lock{mutex_};
-    published_partial_ = std::move(building_);
+    std::swap(published_report_, building_);
     published_ = true;
     published_round_ = round_command_.round;
   }
   cv_.notify_all();
-  building_.clear();
 }
 
 void ShardAggregator::stop(bool graceful) {
-  scratch_connection_ids_.clear();
-  for (const auto& [client_id, connection] : client_connections_) {
-    (void)client_id;
-    scratch_connection_ids_.push_back(connection);
-  }
+  // Links torn down from here on are not round faults.
+  in_round_ = false;
+  pending_slots_.clear();
   if (graceful) {
+    scratch_connection_ids_.clear();
+    for (const auto& [client_id, connection] : client_connections_) {
+      (void)client_id;
+      scratch_connection_ids_.push_back(connection);
+    }
     const Message bye{MessageType::Shutdown, {}};
     for (const Reactor::ConnectionId connection : scratch_connection_ids_) {
       (void)reactor_.send(connection, bye);
@@ -342,9 +486,9 @@ void ShardAggregator::stop(bool graceful) {
       reactor_.poll_once(milliseconds{10});
     }
   }
-  for (const Reactor::ConnectionId connection : scratch_connection_ids_) {
-    reactor_.close_connection(connection);
-  }
+  // Every link, not only the members': a rejoin still mid-handshake must see
+  // the close too, or its client would wait on a federation that has ended.
+  reactor_.close_all();
   reactor_.stop_listening();
   listener_.close();  // late joiners now get ECONNREFUSED instead of queueing
   if (http_listener_) http_listener_->close();
@@ -379,6 +523,9 @@ HierarchicalServer::HierarchicalServer(
       config_.clients_per_round > config_.expected_clients) {
     throw std::invalid_argument{"HierarchicalServer: clients_per_round out of range"};
   }
+  if (config_.min_clients > config_.expected_clients) {
+    throw std::invalid_argument{"HierarchicalServer: min_clients exceeds expected_clients"};
+  }
   merge_strategy_ = strategy_factory();
   if (!merge_strategy_) {
     throw std::invalid_argument{"HierarchicalServer: strategy_factory returned null"};
@@ -387,14 +534,21 @@ HierarchicalServer::HierarchicalServer(
   for (std::size_t shard = 0; shard < config_.shards; ++shard) {
     ShardConfig shard_config;
     shard_config.shard_id = shard;
+    // The ids c with shard_of(c) == shard: [ceil(shard*N/S), ceil((shard+1)*N/S)).
+    const std::size_t n = config_.expected_clients;
+    const std::size_t s = config_.shards;
+    shard_config.first_client = static_cast<int>((shard * n + s - 1) / s);
+    shard_config.last_client = static_cast<int>(((shard + 1) * n + s - 1) / s);
+    if (config_.port != 0) {
+      shard_config.port = static_cast<std::uint16_t>(config_.port + shard);
+    }
     shard_config.poll_timeout =
         milliseconds{static_cast<std::int64_t>(config_.reactor_poll_timeout_ms)};
     shard_config.round_timeout =
         milliseconds{static_cast<std::int64_t>(config_.round_timeout_ms)};
     shard_config.idle_timeout =
         milliseconds{static_cast<std::int64_t>(config_.reactor_idle_timeout_ms)};
-    shard_config.psi_codec = config_.psi_codec;
-    shard_config.psi_chunk = config_.psi_chunk;
+    shard_config.eject_after_failures = config_.eject_after_failures;
     if (config_.http_port != 0) {
       shard_config.http_port =
           static_cast<std::uint16_t>(config_.http_port + 1 + shard);
@@ -411,6 +565,12 @@ HierarchicalServer::HierarchicalServer(
   auto& registry = obs::Registry::global();
   rounds_total_ = registry.counter("net_root_rounds_total");
   degraded_rounds_total_ = registry.counter("net_root_degraded_rounds_total");
+  upload_bytes_total_ = registry.counter("net_upload_bytes_total");
+  download_bytes_total_ = registry.counter("net_download_bytes_total");
+  dropouts_total_ = registry.counter("net_dropouts_total");
+  timeouts_total_ = registry.counter("net_timeouts_total");
+  corrupt_frames_total_ = registry.counter("net_corrupt_frames_total");
+  ejected_clients_total_ = registry.counter("net_ejected_clients_total");
   round_seconds_ = registry.histogram("net_root_round_seconds");
 }
 
@@ -435,20 +595,34 @@ std::size_t HierarchicalServer::live_shards() const {
 }
 
 void HierarchicalServer::await_clients() {
+  if (admission_closed_) return;
+  const std::size_t required =
+      config_.min_clients == 0 ? config_.expected_clients : config_.min_clients;
   const auto deadline = Clock::now() + milliseconds{
       static_cast<std::int64_t>(config_.accept_timeout_ms)};
   for (;;) {
-    std::size_t registered = 0;
-    for (const auto& shard : shards_) registered += shard->registered_clients();
-    if (registered >= config_.expected_clients) return;
+    std::size_t admitted = 0;
+    for (const auto& shard : shards_) admitted += shard->registered_clients();
+    if (admitted >= config_.expected_clients) break;
     if (Clock::now() >= deadline) {
+      if (admitted >= required) break;
       throw std::runtime_error{
-          "HierarchicalServer: only " + std::to_string(registered) + " of " +
+          "HierarchicalServer: only " + std::to_string(admitted) + " of " +
           std::to_string(config_.expected_clients) + " clients joined within " +
-          std::to_string(config_.accept_timeout_ms) + " ms"};
+          std::to_string(config_.accept_timeout_ms) + " ms (minimum " +
+          std::to_string(required) + ")"};
     }
     std::this_thread::sleep_for(milliseconds{10});
   }
+  universe_.clear();
+  for (auto& shard : shards_) shard->close_admission(universe_);
+  // Sorted ids: with everyone present, draws index the same population as
+  // fl::Server's, whatever order the clients joined in.
+  std::sort(universe_.begin(), universe_.end());
+  universe_.erase(std::unique(universe_.begin(), universe_.end()), universe_.end());
+  admission_closed_ = true;
+  util::log_info("hierarchical server: %zu/%zu clients admitted over %zu shard(s)",
+                 universe_.size(), config_.expected_clients, shards_.size());
 }
 
 void HierarchicalServer::kill_shard(std::size_t shard) {
@@ -457,6 +631,7 @@ void HierarchicalServer::kill_shard(std::size_t shard) {
 }
 
 fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
+  await_clients();
   const std::uint64_t round_start_ns = obs::now_ns();
   // Install the round's trace context before the first span so every local
   // span — and, via RoundRequest, every remote one — carries the same id.
@@ -473,17 +648,26 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
       }
     }
   }
+  // Round boundary: clients that lost their link get one bounded window to
+  // rejoin before the sample is drawn.
+  const auto rejoin_deadline = Clock::now() + kRejoinWindow;
+  for (auto& shard : shards_) shard->await_rejoins(rejoin_deadline);
 
-  // Sample with fl::Server's rng semantics, then split the sample into
-  // per-shard cohorts by client ownership, preserving sample order within
-  // each cohort (cohort slot order == sample order, the fold-order contract).
-  rng_.sample_without_replacement(config_.expected_clients, config_.clients_per_round,
-                                  sampled_);
+  // Sample the surviving universe with fl::Server's rng semantics (an empty
+  // universe draws nothing), then split the sample into per-shard cohorts by
+  // client ownership, preserving sample order within each cohort (cohort
+  // slot order == sample order, the fold-order contract).
+  sampled_.clear();
+  if (!universe_.empty()) {
+    rng_.sample_without_replacement(
+        universe_.size(), std::min(config_.clients_per_round, universe_.size()), sampled_);
+  }
   record.sampled_clients = sampled_.size();
   cohorts_.resize(shards_.size());
   for (auto& cohort : cohorts_) cohort.clear();
-  for (const std::size_t client : sampled_) {
-    cohorts_[shard_of(client)].push_back(static_cast<int>(client));
+  for (const std::size_t k : sampled_) {
+    const int client = universe_[k];
+    cohorts_[shard_of(static_cast<std::size_t>(client))].push_back(client);
   }
 
   RoundRequest request;
@@ -500,10 +684,17 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
       merge_strategy_->wants_decoders() ? merge_strategy_->decoder_parameter_count() : 0;
 
   partials_.resize(shards_.size());
+  reports_.resize(shards_.size());
   std::vector<bool> dispatched(shards_.size(), false);
+  bool degraded = false;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     partials_[shard].clear();
-    if (cohorts_[shard].empty() || !shards_[shard]->alive()) continue;
+    if (cohorts_[shard].empty()) continue;
+    if (!shards_[shard]->alive()) {
+      record.dropouts += cohorts_[shard].size();  // a dead shard holds no links
+      degraded = true;
+      continue;
+    }
     ShardAggregator::RoundCommand command;
     command.round = round;
     command.cohort = cohorts_[shard];
@@ -519,17 +710,32 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
   const auto deadline = Clock::now() +
       milliseconds{static_cast<std::int64_t>(config_.round_timeout_ms)} +
       milliseconds{static_cast<std::int64_t>(4 * config_.reactor_poll_timeout_ms) + 500};
-  bool degraded = false;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (!dispatched[shard]) {
-      degraded = degraded || !cohorts_[shard].empty();
+    if (!dispatched[shard]) continue;
+    ShardRoundReport& report = reports_[shard];
+    if (!shards_[shard]->wait_report(deadline, round, report)) {
+      util::log_warn("hierarchical server: shard %zu missed round %zu", shard, round);
+      record.timeouts += cohorts_[shard].size();
+      degraded = true;
       continue;
     }
-    if (!shards_[shard]->wait_partial(deadline, round, partials_[shard])) {
-      util::log_warn("hierarchical server: shard %zu missed round %zu", shard, round);
-      partials_[shard].clear();  // merges as an empty (skipped) partial
-      degraded = true;
-    }
+    std::swap(partials_[shard], report.partial);
+    record.dropouts += report.dropouts;
+    record.timeouts += report.timeouts;
+    record.corrupt_frames += report.corrupt_frames;
+    record.rejected_malicious += report.rejected_malicious;
+    record.rejected_benign += report.rejected_benign;
+    record.server_upload_bytes += report.upload_bytes;
+    record.server_download_bytes += report.download_bytes;
+  }
+  // Ejected clients leave the sampling universe from the next round on; a
+  // shard that missed the deadline hands its ejections over all the same.
+  ejected_.clear();
+  for (auto& shard : shards_) shard->take_ejected(ejected_);
+  for (const int client : ejected_) {
+    const auto it = std::lower_bound(universe_.begin(), universe_.end(), client);
+    if (it != universe_.end() && *it == client) universe_.erase(it);
+    ++record.ejected_clients;
   }
 
   std::size_t responded = 0;
@@ -538,7 +744,6 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
     record.sampled_malicious += partial.malicious_count;
   }
   record.stragglers = sampled_.size() - responded;
-  record.timeouts = record.stragglers;
 
   bool merged = false;
   if (responded > 0) {
@@ -573,6 +778,12 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
     FEDGUARD_TRACE_SPAN("net.shard", "eval");
     evaluate_round(record);
   }
+  upload_bytes_total_.add(record.server_upload_bytes);
+  download_bytes_total_.add(record.server_download_bytes);
+  dropouts_total_.add(record.dropouts);
+  timeouts_total_.add(record.timeouts);
+  corrupt_frames_total_.add(record.corrupt_frames);
+  ejected_clients_total_.add(record.ejected_clients);
   const double seconds = static_cast<double>(obs::now_ns() - round_start_ns) * 1e-9;
   record.round_seconds = seconds;
   round_seconds_.observe(seconds);
@@ -590,9 +801,10 @@ fl::RunHistory HierarchicalServer::run() {
     fl::RoundRecord record = run_round(round);
     util::log_info(
         "hierarchical round %zu/%zu: accuracy=%.4f sampled=%zu stragglers=%zu "
-        "live_shards=%zu",
+        "(timeouts %zu, dropouts %zu, corrupt %zu) live_shards=%zu",
         round + 1, config_.rounds, record.test_accuracy, record.sampled_clients,
-        record.stragglers, live_shards());
+        record.stragglers, record.timeouts, record.dropouts, record.corrupt_frames,
+        live_shards());
     history.rounds.push_back(std::move(record));
   }
   for (auto& shard : shards_) {

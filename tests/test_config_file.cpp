@@ -139,26 +139,28 @@ TEST_F(ConfigFileTest, RemoteAndFaultKeysApply) {
   EXPECT_FALSE(ExperimentConfig{}.fault_plan.any());
 }
 
-TEST_F(ConfigFileTest, RemoteServerConfigMapsFromExperiment) {
+TEST_F(ConfigFileTest, HierarchicalServerConfigMapsFromExperiment) {
   ExperimentConfig config;
   config.num_clients = 6;
   config.clients_per_round = 3;
   config.rounds = 9;
   config.seed = 11;
+  config.shards = 2;
   config.remote_accept_timeout_ms = 750;
   config.remote_round_timeout_ms = 1234;
   config.remote_min_clients = 2;
   config.remote_eject_after_failures = 4;
-  const net::RemoteServerConfig remote = remote_server_config(config, 7700);
-  EXPECT_EQ(remote.port, 7700);
-  EXPECT_EQ(remote.expected_clients, 6u);
-  EXPECT_EQ(remote.clients_per_round, 3u);
-  EXPECT_EQ(remote.rounds, 9u);
-  EXPECT_EQ(remote.accept_timeout_ms, 750u);
-  EXPECT_EQ(remote.round_timeout_ms, 1234u);
-  EXPECT_EQ(remote.min_clients, 2u);
-  EXPECT_EQ(remote.eject_after_failures, 4u);
-  EXPECT_EQ(remote.seed, 11u ^ 0x5e12e5ULL);
+  const net::HierarchicalServerConfig server = hierarchical_server_config(config);
+  EXPECT_EQ(server.port, 0);  // ephemeral unless the caller pins one
+  EXPECT_EQ(server.shards, 2u);
+  EXPECT_EQ(server.expected_clients, 6u);
+  EXPECT_EQ(server.clients_per_round, 3u);
+  EXPECT_EQ(server.rounds, 9u);
+  EXPECT_EQ(server.accept_timeout_ms, 750u);
+  EXPECT_EQ(server.round_timeout_ms, 1234u);
+  EXPECT_EQ(server.min_clients, 2u);
+  EXPECT_EQ(server.eject_after_failures, 4u);
+  EXPECT_EQ(server.seed, 11u ^ 0x5e12e5ULL);
 }
 
 TEST_F(ConfigFileTest, UnknownKeyRejected) {

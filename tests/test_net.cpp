@@ -10,6 +10,8 @@
 #include "defenses/fedavg.hpp"
 #include "defenses/fedguard.hpp"
 #include "net/remote.hpp"
+#include "net/shard.hpp"
+#include "obs/metrics.hpp"
 #include "util/logging.hpp"
 
 namespace fedguard::net {
@@ -246,14 +248,15 @@ struct RemoteFixture : ::testing::Test {
 };
 
 TEST_F(RemoteFixture, FedAvgFederationOverTcp) {
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 4;
   config.clients_per_round = 4;
   config.rounds = 4;
   config.seed = 604;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{
+      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   std::vector<std::unique_ptr<fl::Client>> clients;
   std::vector<std::thread> threads;
@@ -286,15 +289,18 @@ TEST_F(RemoteFixture, FedGuardRejectsMaliciousClientOverTcp) {
   defenses::FedGuardConfig fg;
   fg.cvae_spec = cvae_spec();
   fg.total_samples = 40;
-  defenses::FedGuardAggregator strategy{fg, models::ClassifierArch::Mlp, geometry, 606};
-
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 4;
   config.clients_per_round = 4;
   config.rounds = 3;
   config.seed = 607;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{config,
+                            [&] {
+                              return std::make_unique<defenses::FedGuardAggregator>(
+                                  fg, models::ClassifierArch::Mlp, geometry, 606);
+                            },
+                            test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   const attacks::SameValueAttack attack{1.0f};
   std::vector<std::unique_ptr<fl::Client>> clients;
@@ -326,15 +332,18 @@ TEST_F(RemoteFixture, TrafficAsymmetryForDecoderStrategies) {
   defenses::FedGuardConfig fg;
   fg.cvae_spec = cvae_spec();
   fg.total_samples = 20;
-  defenses::FedGuardAggregator strategy{fg, models::ClassifierArch::Mlp, geometry, 609};
-
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 2;
   config.clients_per_round = 2;
   config.rounds = 1;
   config.seed = 610;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{config,
+                            [&] {
+                              return std::make_unique<defenses::FedGuardAggregator>(
+                                  fg, models::ClassifierArch::Mlp, geometry, 609);
+                            },
+                            test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   std::vector<std::unique_ptr<fl::Client>> clients;
   std::vector<std::thread> threads;
@@ -359,14 +368,15 @@ TEST_F(RemoteFixture, AcceptDeadlineFailsLoudlyWhenClientsAreMissing) {
   // Regression: the server used to block forever when fewer than
   // expected_clients connected. Now the accept phase has a deadline and
   // reports the shortfall.
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 2;
   config.clients_per_round = 2;
   config.rounds = 1;
   config.seed = 620;
   config.accept_timeout_ms = 300;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
+  HierarchicalServer server{
+      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
 
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -381,16 +391,17 @@ TEST_F(RemoteFixture, AcceptDeadlineFailsLoudlyWhenClientsAreMissing) {
 
 TEST_F(RemoteFixture, MinClientsAllowsPartialFederation) {
   // With min_clients set, the run proceeds over whoever showed up.
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 3;
   config.clients_per_round = 3;
   config.rounds = 2;
   config.seed = 621;
   config.accept_timeout_ms = 500;
   config.min_clients = 1;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{
+      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   fl::Client client{0,        train,    partition[0], client_config(false),
                     models::ClassifierArch::Mlp, geometry, cvae_spec(), 622};
@@ -403,6 +414,58 @@ TEST_F(RemoteFixture, MinClientsAllowsPartialFederation) {
     EXPECT_EQ(record.sampled_clients, 1u);  // the universe shrank to who joined
     EXPECT_EQ(record.dropouts + record.timeouts + record.corrupt_frames, 0u);
   }
+}
+
+TEST_F(RemoteFixture, StrayClientIdsAreRefusedDuringAcceptPhase) {
+  // Each shard admits only the ids it owns: an id out of [0, N), a negative
+  // one, or one owned by another shard must never enter the sampling
+  // universe (the root would route it to a shard that does not hold it).
+  HierarchicalServerConfig config;
+  config.shards = 2;
+  config.expected_clients = 4;
+  config.clients_per_round = 4;
+  config.rounds = 2;
+  config.seed = 623;
+  HierarchicalServer server{
+      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  obs::Registry& registry = obs::Registry::global();
+  const std::string refused = "net_shard_refused_hellos_total{shard=\"0\"}";
+  const std::uint64_t refused0 = registry.counter_value(refused);
+
+  for (const int stray : {7, -1, 3}) {  // 3 belongs to shard 1
+    TcpStream stream = TcpStream::connect("127.0.0.1", server.shard_port(0));
+    stream.set_receive_timeout(std::chrono::milliseconds{20000});
+    stream.send_message({MessageType::Hello, encode_hello(stray)});
+    EXPECT_THROW((void)stream.receive_message(), std::exception)
+        << "shard 0 must close the link of stray id " << stray;
+  }
+  EXPECT_EQ(registry.counter_value(refused) - refused0, 3u);
+
+  std::vector<std::unique_ptr<fl::Client>> clients;
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> rounds_served(4, 0);
+  for (std::size_t i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<fl::Client>(
+        static_cast<int>(i), train, partition[i], client_config(false),
+        models::ClassifierArch::Mlp, geometry, cvae_spec(), 624 + i));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint16_t port = server.shard_port(server.shard_of(i));
+    threads.emplace_back([&, i, port] {
+      rounds_served[i] = run_remote_client("127.0.0.1", port, *clients[i]);
+    });
+  }
+  const fl::RunHistory history = server.run();
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_EQ(history.rounds.size(), 2u);
+  for (const auto& record : history.rounds) {
+    EXPECT_EQ(record.sampled_clients, 4u);
+    EXPECT_EQ(record.stragglers, 0u);
+    EXPECT_EQ(record.dropouts + record.timeouts + record.corrupt_frames, 0u);
+  }
+  for (const std::size_t n : rounds_served) EXPECT_EQ(n, 2u);
 }
 
 }  // namespace

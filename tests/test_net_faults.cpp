@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "data/partition.hpp"
@@ -15,6 +18,7 @@
 #include "defenses/krum.hpp"
 #include "net/fault_injector.hpp"
 #include "net/remote.hpp"
+#include "net/shard.hpp"
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
 
@@ -82,14 +86,15 @@ struct ChaosFixture : ::testing::Test {
     throw std::logic_error{"unknown strategy"};
   }
 
-  /// One full distributed run under `plan`. Everything seeded, nothing shared
-  /// between invocations: calling this twice with the same arguments must
-  /// produce identical results.
+  /// One full distributed run under `plan` over `shards` edge aggregators.
+  /// Everything seeded, nothing shared between invocations: calling this
+  /// twice with the same arguments must produce identical results.
   ChaosResult run_chaos(Strategy kind, const FaultPlan& plan, std::size_t rounds = 3,
-                        std::size_t round_timeout_ms = 4000) const {
+                        std::size_t round_timeout_ms = 4000,
+                        std::size_t shards = 1) const {
     const bool with_cvae = kind == Strategy::FedGuard;
-    auto strategy = make_strategy(kind);
-    RemoteServerConfig config;
+    HierarchicalServerConfig config;
+    config.shards = shards;
     config.expected_clients = kClients;
     config.clients_per_round = 3;
     config.rounds = rounds;
@@ -97,8 +102,8 @@ struct ChaosFixture : ::testing::Test {
     config.round_timeout_ms = round_timeout_ms;
     config.min_clients = 1;  // tolerate never-connect plans
     config.accept_timeout_ms = plan.never_connect_probability > 0.0 ? 500 : 10000;
-    RemoteServer server{config, *strategy, test, models::ClassifierArch::Mlp, geometry};
-    const std::uint16_t port = server.port();
+    HierarchicalServer server{config, [&] { return make_strategy(kind); }, test,
+                              models::ClassifierArch::Mlp, geometry};
 
     FaultInjector injector{plan};
     std::vector<std::unique_ptr<fl::Client>> clients;
@@ -111,7 +116,8 @@ struct ChaosFixture : ::testing::Test {
           models::ClassifierArch::Mlp, geometry, cvae_spec(), 906 + i));
     }
     for (std::size_t i = 0; i < kClients; ++i) {
-      threads.emplace_back([&, i] {
+      const std::uint16_t port = server.shard_port(server.shard_of(i));
+      threads.emplace_back([&, i, port] {
         RemoteClientOptions options;
         options.faults = &injector;
         options.reconnect_attempts = 6;  // enough for repeated truncate/disconnect
@@ -316,6 +322,57 @@ TEST_F(ChaosFixture, ChaosMatrixCompletesAndReplaysFromSeed) {
   }
 }
 
+// ---- The same accounting on the two-tier path ----------------------------------
+
+TEST_F(ChaosFixture, TwoShardChaosMatrixCompletesAndReplaysFromSeed) {
+  // Two reactor shards (clients 0-1 and 2-3) under the same fault plans: the
+  // per-shard tallies must sum to exactly what the injectors did, and a
+  // replay must reproduce the run, model included.
+  struct PlanSpec {
+    const char* label;
+    FaultPlan plan;
+  };
+  std::vector<PlanSpec> specs;
+  {
+    FaultPlan p;
+    p.drop_probability = 0.3;
+    p.seed = 960;
+    specs.push_back({"drop", p});
+  }
+  {
+    FaultPlan p;
+    p.bit_flip_probability = 0.3;
+    p.seed = 961;
+    specs.push_back({"bitflip", p});
+  }
+  {
+    FaultPlan p;
+    p.disconnect_probability = 0.3;
+    p.seed = 962;
+    specs.push_back({"disconnect", p});
+  }
+  for (const PlanSpec& spec : specs) {
+    SCOPED_TRACE(std::string{"fedavg x "} + spec.label + " x 2 shards");
+    const ChaosResult first = run_chaos(Strategy::FedAvg, spec.plan, 3, 1500, 2);
+    const ChaosResult second = run_chaos(Strategy::FedAvg, spec.plan, 3, 1500, 2);
+    ASSERT_EQ(first.history.rounds.size(), 3u);
+    EXPECT_GT(first.injected[static_cast<std::size_t>(FaultKind::Drop)] +
+                  first.injected[static_cast<std::size_t>(FaultKind::BitFlip)] +
+                  first.injected[static_cast<std::size_t>(FaultKind::Disconnect)],
+              0u)
+        << "plan seed must inject something";
+    EXPECT_EQ(first.injected, second.injected);
+    expect_histories_identical(first.history, second.history);
+    EXPECT_EQ(first.final_parameters, second.final_parameters);
+    EXPECT_EQ(first.history.total_timeouts(),
+              first.injected[static_cast<std::size_t>(FaultKind::Drop)]);
+    EXPECT_EQ(first.history.total_corrupt_frames(),
+              first.injected[static_cast<std::size_t>(FaultKind::BitFlip)]);
+    EXPECT_EQ(first.history.total_dropouts(),
+              first.injected[static_cast<std::size_t>(FaultKind::Disconnect)]);
+  }
+}
+
 // ---- Acceptance scenario: 25% dropout, all rounds complete ---------------------
 
 TEST_F(ChaosFixture, QuarterDropoutRunCompletesAllRounds) {
@@ -346,17 +403,17 @@ TEST_F(ChaosFixture, QuarterDropoutRunCompletesAllRounds) {
 TEST_F(ChaosFixture, ClientFailingEveryRoundIsEjected) {
   // A plan that makes every (client, round) drop would stall all clients, so
   // drive the server directly: one client connects and then never answers.
-  defenses::FedAvgAggregator strategy;
-  RemoteServerConfig config;
+  HierarchicalServerConfig config;
   config.expected_clients = 1;
   config.clients_per_round = 1;
   config.rounds = 4;
   config.seed = 940;
   config.round_timeout_ms = 200;
-  config.readmit_timeout_ms = 100;
   config.eject_after_failures = 2;
-  RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  HierarchicalServer server{
+      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
 
   std::thread silent_client{[port] {
     TcpStream stream = TcpStream::connect("127.0.0.1", port);
@@ -382,6 +439,78 @@ TEST_F(ChaosFixture, ClientFailingEveryRoundIsEjected) {
   EXPECT_EQ(history.rounds[2].test_accuracy, history.rounds[3].test_accuracy);
 }
 
+/// Metadata-path strategy (no exact merge): the plain mean of the cohort, but
+/// its shard-side aggregation stalls in one round, so that shard publishes
+/// after the root deadline.
+class StallingMean final : public defenses::AggregationStrategy {
+ public:
+  StallingMean(std::size_t stall_round, std::chrono::milliseconds stall)
+      : stall_round_{stall_round}, stall_{stall} {}
+  [[nodiscard]] std::string name() const override { return "stalling-mean"; }
+
+ private:
+  void do_aggregate(const defenses::AggregationContext& context,
+                    const defenses::UpdateView& updates,
+                    defenses::AggregationResult& out) override {
+    if (context.round == stall_round_) std::this_thread::sleep_for(stall_);
+    out.parameters.assign(updates.psi_dim(), 0.0f);
+    for (std::size_t k = 0; k < updates.count(); ++k) {
+      const std::span<const float> psi = updates.psi(k);
+      for (std::size_t i = 0; i < psi.size(); ++i) {
+        out.parameters[i] += psi[i] / static_cast<float>(updates.count());
+      }
+      out.accepted_clients.push_back(updates.meta(k).client_id);
+    }
+  }
+
+  std::size_t stall_round_;
+  std::chrono::milliseconds stall_;
+};
+
+TEST_F(ChaosFixture, EjectionSurvivesAShardReportThatMissedTheRootDeadline) {
+  // Client 0 never answers and is ejected in round 1, the round in which the
+  // shard's report arrives after the root deadline (the root charges the
+  // whole cohort as timeouts and drops the late report). The ejection must
+  // still be counted once and take client 0 out of the sampling universe.
+  HierarchicalServerConfig config;
+  config.expected_clients = 2;
+  config.clients_per_round = 2;
+  config.rounds = 4;
+  config.seed = 945;
+  config.round_timeout_ms = 300;
+  config.eject_after_failures = 2;
+  // Root deadline: 300 ms + 4 polls + 500 ms; the stalled shard is 1 s late.
+  HierarchicalServer server{
+      config, [] { return std::make_unique<StallingMean>(1, std::chrono::milliseconds{1000}); },
+      test, models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
+  obs::Registry& registry = obs::Registry::global();
+  const std::uint64_t ejected0 = registry.counter_value("net_ejected_clients_total");
+
+  std::thread silent_client{[port] {
+    TcpStream stream = TcpStream::connect("127.0.0.1", port);
+    stream.send_message({MessageType::Hello, encode_hello(0)});
+    try {
+      for (;;) (void)stream.receive_message();
+    } catch (const std::exception&) {
+    }
+  }};
+  fl::Client client{1,        train,    partition[1], client_config(false),
+                    models::ClassifierArch::Mlp, geometry, cvae_spec(), 946};
+  std::thread honest_client{[&] { (void)run_remote_client("127.0.0.1", port, client); }};
+  const fl::RunHistory history = server.run();
+  silent_client.join();
+  honest_client.join();
+
+  ASSERT_EQ(history.rounds.size(), 4u);
+  EXPECT_EQ(history.rounds[0].timeouts, 1u);
+  EXPECT_EQ(history.rounds[1].timeouts, 2u) << "the shard must have missed round 1";
+  EXPECT_EQ(history.total_ejected(), 1u);
+  EXPECT_EQ(registry.counter_value("net_ejected_clients_total") - ejected0, 1u);
+  EXPECT_EQ(history.rounds[2].sampled_clients, 1u);
+  EXPECT_EQ(history.rounds[3].sampled_clients, 1u);
+}
+
 // ---- Registry as the single source of truth -----------------------------------
 
 // RoundRecord's fault and traffic fields are per-round deltas of the obs
@@ -397,7 +526,7 @@ TEST_F(ChaosFixture, HistoryFaultTotalsMatchRegistryCounterDeltas) {
   plan.seed = 950;
 
   obs::Registry& registry = obs::Registry::global();
-  const std::uint64_t rounds0 = registry.counter_value("net_rounds_total");
+  const std::uint64_t rounds0 = registry.counter_value("net_root_rounds_total");
   const std::uint64_t upload0 = registry.counter_value("net_upload_bytes_total");
   const std::uint64_t download0 = registry.counter_value("net_download_bytes_total");
   const std::uint64_t dropouts0 = registry.counter_value("net_dropouts_total");
@@ -408,7 +537,7 @@ TEST_F(ChaosFixture, HistoryFaultTotalsMatchRegistryCounterDeltas) {
   const ChaosResult result = run_chaos(Strategy::FedAvg, plan, 3, 1500);
   ASSERT_EQ(result.history.rounds.size(), 3u);
 
-  EXPECT_EQ(registry.counter_value("net_rounds_total") - rounds0, 3u);
+  EXPECT_EQ(registry.counter_value("net_root_rounds_total") - rounds0, 3u);
   EXPECT_EQ(registry.counter_value("net_dropouts_total") - dropouts0,
             result.history.total_dropouts());
   EXPECT_EQ(registry.counter_value("net_timeouts_total") - timeouts0,

@@ -29,6 +29,7 @@
 #include "obs/process_stats.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace fedguard::obs {
 namespace {
@@ -407,17 +408,25 @@ TEST_F(ObsTest, ZeroAllNeverExposesHalfZeroedSnapshot) {
   // Contract (documented on Registry::zero_all): a scrape sees either the
   // fully pre-reset or the fully post-reset registry, never a mix. All cells
   // hold the same value, so any exposition mixing states is detectable.
+  // The writer's increment batch and each scrape share a test-owned lock, so
+  // a scrape can never land halfway through the 16 increments; zero_all stays
+  // outside it and is the only thing left that could produce a mixed view.
   Registry registry;
   std::vector<Counter> counters;
   counters.reserve(16);
   for (int i = 0; i < 16; ++i) {
     counters.push_back(registry.counter("race_c" + std::to_string(i) + "_total"));
   }
+  util::Mutex batch;
   std::atomic<bool> stop{false};
   std::atomic<int> mixed{0};
   std::thread scraper{[&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const auto values = registry.counter_values();
+      std::vector<std::pair<std::string, std::uint64_t>> values;
+      {
+        util::MutexLock lock{batch};
+        values = registry.counter_values();
+      }
       bool any_set = false;
       bool any_zero = false;
       for (const auto& [name, value] : values) {
@@ -427,7 +436,10 @@ TEST_F(ObsTest, ZeroAllNeverExposesHalfZeroedSnapshot) {
     }
   }};
   for (int iteration = 0; iteration < 200; ++iteration) {
-    for (auto& counter : counters) counter.add(7);
+    {
+      util::MutexLock lock{batch};
+      for (auto& counter : counters) counter.add(7);
+    }
     registry.zero_all();
   }
   stop.store(true, std::memory_order_relaxed);

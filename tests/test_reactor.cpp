@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "util/logging.hpp"
@@ -186,6 +188,60 @@ TEST_F(ReactorFixture, BadMagicDropsConnectionDespiteKeepRequest) {
   ASSERT_EQ(decode_errors.size(), 1u);
   EXPECT_EQ(decode_errors[0], DecodeErrorCode::BadMagic);
   EXPECT_EQ(reactor->connection_count(), 0u);
+}
+
+TEST_F(ReactorFixture, PeerClosingMidPayloadIsReportedAsTruncated) {
+  // A peer that closes after the header but before the whole payload sent a
+  // corrupt (truncated) frame, not a clean goodbye: on_decode_error fires
+  // with Truncated before on_close, as receive_message would throw.
+  std::vector<std::string> log;
+  Reactor::Callbacks callbacks;
+  callbacks.on_close = [&](Reactor::ConnectionId) { log.emplace_back("close"); };
+  callbacks.on_decode_error = [&](Reactor::ConnectionId, const DecodeError& error) {
+    log.emplace_back(to_string(error.code()));
+    return false;
+  };
+  Reactor local{std::move(callbacks)};
+  TcpListener local_listener{0};
+  local.listen(local_listener);
+
+  TcpStream client = TcpStream::connect("127.0.0.1", local_listener.port());
+  const std::vector<std::byte> frame = encode_frame(hello_message(5));
+  client.send_all(std::span<const std::byte>{frame.data(), frame.size() - 2});
+  client.close();
+  const auto until = std::chrono::steady_clock::now() + 20000ms;
+  while ((log.empty() || log.back() != "close") &&
+         std::chrono::steady_clock::now() < until) {
+    (void)local.poll_once(10ms);
+  }
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0], to_string(DecodeErrorCode::Truncated));
+  EXPECT_EQ(log[1], "close");
+}
+
+TEST_F(ReactorFixture, PeerClosingMidHeaderIsAPlainClose) {
+  TcpStream client = connect_client();
+  const std::vector<std::byte> frame = encode_frame(hello_message(5));
+  client.send_all(std::span<const std::byte>{frame.data(), kFrameHeaderBytes / 2});
+  client.close();
+  ASSERT_TRUE(pump_until([&] { return closed.size() == 1; }));
+  EXPECT_TRUE(decode_errors.empty());
+}
+
+TEST_F(ReactorFixture, PeerResettingMidPayloadIsAPlainClose) {
+  // A reset is a lost link (a dropout upstream), not a truncated frame, even
+  // when it cuts a payload short: only an orderly EOF reports Truncated.
+  TcpStream client = connect_client();
+  ASSERT_TRUE(pump_until([&] { return accepted.size() == 1; }));
+  const std::vector<std::byte> frame = encode_frame(hello_message(5));
+  client.send_all(std::span<const std::byte>{frame.data(), frame.size() - 2});
+  const ::linger abort_on_close{1, 0};  // close() sends RST instead of FIN
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_LINGER, &abort_on_close,
+                         sizeof(abort_on_close)),
+            0);
+  client.close();
+  ASSERT_TRUE(pump_until([&] { return closed.size() == 1; }));
+  EXPECT_TRUE(decode_errors.empty());
 }
 
 TEST_F(ReactorFixture, SendToUnknownConnectionFails) {

@@ -12,6 +12,7 @@
 #include "defenses/fedavg.hpp"
 #include "fl/server.hpp"
 #include "net/remote.hpp"
+#include "net/shard.hpp"
 #include "util/logging.hpp"
 
 namespace fedguard {
@@ -74,15 +75,15 @@ TEST_F(ParityFixture, LocalAndRemoteReachSimilarAccuracy) {
 
   // Remote run over loopback with identically constructed clients.
   auto remote_clients = make_clients(810);
-  defenses::FedAvgAggregator remote_strategy;
-  net::RemoteServerConfig remote_config;
+  net::HierarchicalServerConfig remote_config;
   remote_config.expected_clients = 4;
   remote_config.clients_per_round = 4;
   remote_config.rounds = kRounds;
   remote_config.seed = 811;
-  net::RemoteServer remote_server{remote_config, remote_strategy, test,
-                                  models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = remote_server.port();
+  net::HierarchicalServer remote_server{
+      remote_config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = remote_server.shard_port(0);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     threads.emplace_back(
@@ -115,15 +116,15 @@ TEST_F(ParityFixture, FaultFreeRemoteMatchesLocalBitForBit) {
   const fl::RunHistory local = local_server.run();
 
   auto remote_clients = make_clients(830);
-  defenses::FedAvgAggregator remote_strategy;
-  net::RemoteServerConfig remote_config;
+  net::HierarchicalServerConfig remote_config;
   remote_config.expected_clients = 4;
   remote_config.clients_per_round = 2;
   remote_config.rounds = kRounds;
   remote_config.seed = 831;
-  net::RemoteServer remote_server{remote_config, remote_strategy, test,
-                                  models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = remote_server.port();
+  net::HierarchicalServer remote_server{
+      remote_config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = remote_server.shard_port(0);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     threads.emplace_back(
@@ -173,17 +174,17 @@ TEST_F(ParityFixture, DropPlanMatchesInProcessStragglerPath) {
   const fl::RunHistory local = local_server.run();
 
   auto remote_clients = make_clients(841);
-  defenses::FedAvgAggregator remote_strategy;
-  net::RemoteServerConfig remote_config;
+  net::HierarchicalServerConfig remote_config;
   remote_config.expected_clients = 4;
   remote_config.clients_per_round = 3;
   remote_config.rounds = kRounds;
   remote_config.seed = 842;
   remote_config.round_timeout_ms = 1500;
   remote_config.eject_after_failures = 0;  // the local path never ejects
-  net::RemoteServer remote_server{remote_config, remote_strategy, test,
-                                  models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = remote_server.port();
+  net::HierarchicalServer remote_server{
+      remote_config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = remote_server.shard_port(0);
   net::FaultInjector injector{plan};
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
@@ -217,14 +218,15 @@ TEST_F(ParityFixture, DropPlanMatchesInProcessStragglerPath) {
 
 TEST_F(ParityFixture, RemoteUploadTrafficMatchesFrameArithmetic) {
   auto clients = make_clients(820);
-  defenses::FedAvgAggregator strategy;
-  net::RemoteServerConfig config;
+  net::HierarchicalServerConfig config;
   config.expected_clients = 4;
   config.clients_per_round = 2;
   config.rounds = 1;
   config.seed = 821;
-  net::RemoteServer server{config, strategy, test, models::ClassifierArch::Mlp, geometry};
-  const std::uint16_t port = server.port();
+  net::HierarchicalServer server{
+      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  const std::uint16_t port = server.shard_port(0);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < 4; ++i) {
     threads.emplace_back(

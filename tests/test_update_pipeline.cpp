@@ -1,6 +1,6 @@
 // Golden parity pin for the zero-copy update pipeline: the full round loop
-// (in-process fl::Server and TCP net::RemoteServer with faults disabled) must
-// reproduce these run histories bit-for-bit — accuracies (exact double bits),
+// (in-process fl::Server and TCP net::HierarchicalServer with faults
+// disabled) must reproduce these run histories bit-for-bit — accuracies (exact double bits),
 // sampling/rejection counts, traffic bytes, and a hash of the final global
 // parameter vector. The goldens were captured from the pre-arena pipeline
 // (per-update ClientUpdate vectors, per-strategy re-concatenation), so any
@@ -39,6 +39,7 @@
 #include "defenses/spectral.hpp"
 #include "fl/server.hpp"
 #include "net/remote.hpp"
+#include "net/shard.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "util/logging.hpp"
 
@@ -277,15 +278,18 @@ struct PipelineGoldenTest : ::testing::Test {
                          util::WireCodec codec = util::WireCodec::Fp32) const {
     auto strategy = make_strategy(name);
     auto clients = make_clients(strategy->wants_decoders());
-    net::RemoteServerConfig config;
+    net::HierarchicalServerConfig config;
     config.expected_clients = kClients;
     config.clients_per_round = kClientsPerRound;
     config.rounds = kRounds;
     config.seed = 930;
     config.psi_codec = codec;
-    net::RemoteServer server{config, *strategy, test, models::ClassifierArch::Mlp,
-                             geometry};
-    const std::uint16_t port = server.port();
+    // The first factory call (the root's merge instance) takes the strategy
+    // built above; the shard gets an identically seeded twin.
+    net::HierarchicalServer server{
+        config, [&] { return strategy ? std::move(strategy) : make_strategy(name); },
+        test, models::ClassifierArch::Mlp, geometry};
+    const std::uint16_t port = server.shard_port(0);
     std::vector<std::thread> threads;
     threads.reserve(kClients);
     for (std::size_t i = 0; i < kClients; ++i) {
