@@ -129,9 +129,10 @@ if [ -n "$KERNEL_ARCH" ]; then
 fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Belt and braces: confirm the net label resolves to its three suites even if
-# someone filters the main run.
+# Belt and braces: confirm the net and engine labels resolve even if someone
+# filters the main run.
 ctest --test-dir "$BUILD_DIR" -L net -N
+ctest --test-dir "$BUILD_DIR" -L engine -N
 
 if [ "$SANITIZE" = "thread" ]; then
   # The TSan leg is only worth its cost if it covers the genuinely concurrent

@@ -131,9 +131,11 @@ void AggregationStrategy::do_partial_aggregate(const AggregationContext& context
     out.weight_sum += static_cast<double>(updates.meta(k).num_samples);
     if (updates.meta(k).truly_malicious) out.malicious_count += 1;
   }
-  out.parameters = std::move(partial_scratch_.parameters);
-  out.accepted_clients = std::move(partial_scratch_.accepted_clients);
-  out.rejected_clients = std::move(partial_scratch_.rejected_clients);
+  // Swap, not move: the partial's previous buffers become next call's
+  // scratch, so a steady state alternates two sets and never allocates.
+  out.parameters.swap(partial_scratch_.parameters);
+  out.accepted_clients.swap(partial_scratch_.accepted_clients);
+  out.rejected_clients.swap(partial_scratch_.rejected_clients);
 }
 
 void AggregationStrategy::do_merge_partials(const AggregationContext& /*context*/,

@@ -171,8 +171,9 @@ class AggregationStrategy {
 
  protected:
   /// Default shard body (metadata routing): run do_aggregate on the cohort,
-  /// move the result into the partial. Exposed so selector overrides can
-  /// delegate and then attach their selection scores.
+  /// swap the result into the partial (allocation-free in steady state).
+  /// Exposed so selector overrides can delegate and then attach their
+  /// selection scores.
   virtual void do_partial_aggregate(const AggregationContext& context,
                                     const UpdateView& updates, ShardPartial& out);
 

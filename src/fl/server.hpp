@@ -1,11 +1,14 @@
 #pragma once
-// Federated server (Alg. 1 lines 14-20): model initialization, per-round
-// uniform sampling of m clients, parallel execution of client work items,
-// aggregation through the configured strategy, and the server-learning-rate
-// update ψ0 <- ψ0 + η (ψ_agg - ψ0) that Fig. 5 ablates.
+// Federated server (Alg. 1 lines 14-20), in-process: the clients live in this
+// process and run their local training on the worker pool. The round itself
+// (sampling, cohort split, merge, the server-learning-rate update
+// ψ0 <- ψ0 + η (ψ_agg - ψ0) that Fig. 5 ablates, evaluation, bookkeeping) is
+// fl::RoundEngine's; this class is its in-process collector: it simulates
+// stragglers, fills the round arena from the pool, and partial-aggregates
+// each shard cohort locally.
 //
-// Traffic accounting (Table V): every round the server uploads ψ0 to each of
-// the m sampled clients and downloads their ψ (plus θ when the strategy
+// Traffic accounting (Table V): every round the server uploads ψ0 to each
+// responding sampled client and downloads their ψ (plus θ when the strategy
 // requests decoders). Transfers are charged at serialized wire size.
 
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include "defenses/aggregation.hpp"
 #include "fl/client.hpp"
 #include "fl/metrics.hpp"
+#include "fl/round_engine.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/serialize.hpp"
@@ -46,16 +50,16 @@ struct ServerConfig {
   /// Elements per q8 quantization chunk (ignored by other codecs).
   std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
   /// Two-tier topology simulated in-process: the sampled updates are
-  /// partitioned into per-shard cohorts by client ownership (client c of N
-  /// belongs to shard floor(c*S/N), exactly net::HierarchicalServer's
-  /// partition), each cohort runs AggregationStrategy::partial_aggregate_into,
-  /// and the partials merge at the root. 1 = classic single-tier aggregation.
-  /// FedAvg merges exactly; selectors (Krum/FedCPA/FedGuard) select per shard
-  /// — docs/SHARDING.md quantifies the robustness cost.
+  /// partitioned into per-shard cohorts by client ownership (fl::owner_shard,
+  /// exactly net::HierarchicalServer's partition), each cohort runs
+  /// AggregationStrategy::partial_aggregate_into, and the partials merge at
+  /// the root. 1 = single-tier aggregation (one cohort, bit-identical to a
+  /// direct aggregate). FedAvg merges exactly; selectors (Krum/FedCPA/
+  /// FedGuard) select per shard — docs/SHARDING.md quantifies the cost.
   std::size_t shards = 1;
 };
 
-class Server {
+class Server : private RoundCollector {
  public:
   /// `clients`, `strategy` and `test_set` must outlive the server.
   Server(ServerConfig config, std::vector<std::unique_ptr<Client>>& clients,
@@ -69,7 +73,7 @@ class Server {
   [[nodiscard]] RoundRecord run_round(std::size_t round);
 
   [[nodiscard]] std::span<const float> global_parameters() const noexcept {
-    return global_parameters_;
+    return engine_.global_parameters();
   }
   /// Accuracy of the current global model on the held-out test set.
   [[nodiscard]] double evaluate_global();
@@ -84,39 +88,23 @@ class Server {
   void load_global(const std::string& path);
 
  private:
+  /// In-process collector: stragglers, pool-filled arena rows, per-cohort
+  /// partial aggregation.
+  bool collect(const RoundPlan& plan, std::vector<defenses::ShardPartial>& partials,
+               RoundRecord& record) override;
+
   ServerConfig config_;
   std::vector<std::unique_ptr<Client>>& clients_;
   defenses::AggregationStrategy& strategy_;
-  const data::Dataset& test_set_;
-  models::ClassifierArch arch_;
-  models::ImageGeometry geometry_;
-  std::vector<float> global_parameters_;
-  std::unique_ptr<models::Classifier> eval_classifier_;
-  util::Rng rng_;
-  // Round-persistent scratch: the arena and index/result buffers keep their
-  // capacity across rounds, so a steady-state round performs no heap
+  std::vector<int> universe_;  // every client id, 0..N-1
+  RoundEngine engine_;
+  // Round-persistent collector scratch: the arena and index buffers keep
+  // their capacity across rounds, so a steady-state round performs no heap
   // allocation in this loop (strategies own their own scratch likewise).
   defenses::UpdateMatrix arena_;
-  defenses::AggregationResult result_;
-  std::vector<defenses::ShardPartial> partials_;           // shards > 1
-  std::vector<std::vector<std::size_t>> cohort_slots_;     // arena rows per shard
-  std::vector<std::size_t> sampled_;
-  std::vector<std::size_t> responders_;
-  std::vector<std::size_t> eval_indices_;
-  // Registry instruments (docs/OBSERVABILITY.md §fl_*). RoundRecord's traffic
-  // and straggler fields are per-round deltas of these counters, so Table V
-  // and the metrics exposition can never disagree.
-  obs::Counter rounds_total_;
-  obs::Counter upload_bytes_total_;
-  obs::Counter download_bytes_total_;
-  obs::Counter sampled_clients_total_;
-  obs::Counter stragglers_total_;
-  // Detection tallies against ground truth: the scenario sweep derives
-  // attacker-ejection precision/recall from deltas of these three.
-  obs::Counter sampled_malicious_total_;
-  obs::Counter rejected_malicious_total_;
-  obs::Counter rejected_benign_total_;
-  obs::Histogram round_seconds_;
+  std::vector<int> responders_;           // client id per arena row
+  std::vector<std::size_t> sample_rows_;  // arena row per sample position
+  std::vector<std::size_t> cohort_rows_;
   obs::Gauge arena_capacity_bytes_;
 };
 

@@ -442,16 +442,8 @@ void ShardAggregator::publish_partial() {
     context.round = round_command_.round;
     context.global_parameters = *round_command_.global_parameters;
     strategy_->partial_aggregate_into(context, view, config_.shard_id, partial);
-    // Detection quality of the shard-local split (the root's merge unions
-    // the per-shard rejected sets, so per-shard tallies sum exactly).
-    for (std::size_t k = 0; k < view.count(); ++k) {
-      const defenses::UpdateMeta& meta = view.meta(k);
-      if (std::find(partial.rejected_clients.begin(), partial.rejected_clients.end(),
-                    meta.client_id) == partial.rejected_clients.end()) {
-        continue;
-      }
-      ++(meta.truly_malicious ? building_.rejected_malicious : building_.rejected_benign);
-    }
+    fl::tally_rejections(view, partial, building_.rejected_malicious,
+                         building_.rejected_benign);
   }
   // (0 replies: the partial stays cleared with client_count == 0 — the root
   // skips it when merging.)
@@ -501,44 +493,82 @@ void ShardAggregator::stop(bool graceful) {
 
 // ---- HierarchicalServer ------------------------------------------------------
 
+namespace {
+
+const HierarchicalServerConfig& validated(const HierarchicalServerConfig& config) {
+  if (config.shards == 0) {
+    throw std::invalid_argument{"HierarchicalServer: shards must be > 0"};
+  }
+  if (config.expected_clients < config.shards) {
+    throw std::invalid_argument{
+        "HierarchicalServer: expected_clients must be >= shards "
+        "(every shard owns at least one client)"};
+  }
+  if (config.clients_per_round == 0 || config.clients_per_round > config.expected_clients) {
+    throw std::invalid_argument{"HierarchicalServer: clients_per_round out of range"};
+  }
+  if (config.min_clients > config.expected_clients) {
+    throw std::invalid_argument{"HierarchicalServer: min_clients exceeds expected_clients"};
+  }
+  return config;
+}
+
+std::unique_ptr<defenses::AggregationStrategy> make_merge_strategy(
+    const std::function<std::unique_ptr<defenses::AggregationStrategy>()>& factory) {
+  auto strategy = factory();
+  if (!strategy) {
+    throw std::invalid_argument{"HierarchicalServer: strategy_factory returned null"};
+  }
+  return strategy;
+}
+
+fl::RoundEngineConfig engine_config(const HierarchicalServerConfig& config) {
+  fl::RoundEngineConfig engine;
+  engine.clients_per_round = config.clients_per_round;
+  engine.population = config.expected_clients;
+  engine.shards = config.shards;
+  engine.server_learning_rate = config.server_learning_rate;
+  engine.eval_batch_size = config.eval_batch_size;
+  engine.seed = config.seed;
+  return engine;
+}
+
+// docs/OBSERVABILITY.md §net_*: the fault and traffic counters advance by
+// exactly each RoundRecord's fields.
+fl::RoundInstruments net_instruments() {
+  auto& registry = obs::Registry::global();
+  fl::RoundInstruments instruments;
+  instruments.rounds = registry.counter("net_root_rounds_total");
+  instruments.degraded_rounds = registry.counter("net_root_degraded_rounds_total");
+  instruments.upload_bytes = registry.counter("net_upload_bytes_total");
+  instruments.download_bytes = registry.counter("net_download_bytes_total");
+  instruments.dropouts = registry.counter("net_dropouts_total");
+  instruments.timeouts = registry.counter("net_timeouts_total");
+  instruments.corrupt_frames = registry.counter("net_corrupt_frames_total");
+  instruments.ejected_clients = registry.counter("net_ejected_clients_total");
+  instruments.round_seconds = registry.histogram("net_root_round_seconds");
+  return instruments;
+}
+
+}  // namespace
+
 HierarchicalServer::HierarchicalServer(
     HierarchicalServerConfig config,
     const std::function<std::unique_ptr<defenses::AggregationStrategy>()>& strategy_factory,
     const data::Dataset& test_set, models::ClassifierArch arch,
     models::ImageGeometry geometry)
-    : config_{config},
-      test_set_{test_set},
-      geometry_{geometry},
-      eval_classifier_{std::make_unique<models::Classifier>(arch, geometry, config.seed)},
-      rng_{config.seed} {
-  if (config_.shards == 0) {
-    throw std::invalid_argument{"HierarchicalServer: shards must be > 0"};
-  }
-  if (config_.expected_clients < config_.shards) {
-    throw std::invalid_argument{
-        "HierarchicalServer: expected_clients must be >= shards "
-        "(every shard owns at least one client)"};
-  }
-  if (config_.clients_per_round == 0 ||
-      config_.clients_per_round > config_.expected_clients) {
-    throw std::invalid_argument{"HierarchicalServer: clients_per_round out of range"};
-  }
-  if (config_.min_clients > config_.expected_clients) {
-    throw std::invalid_argument{"HierarchicalServer: min_clients exceeds expected_clients"};
-  }
-  merge_strategy_ = strategy_factory();
-  if (!merge_strategy_) {
-    throw std::invalid_argument{"HierarchicalServer: strategy_factory returned null"};
-  }
-  shards_.reserve(config_.shards);
-  for (std::size_t shard = 0; shard < config_.shards; ++shard) {
+    : config_{validated(config)},
+      merge_strategy_{make_merge_strategy(strategy_factory)},
+      engine_{engine_config(config_), *merge_strategy_, test_set, arch, geometry,
+              net_instruments()} {
+  const std::size_t n = config_.expected_clients;
+  const std::size_t s = config_.shards;
+  shards_.reserve(s);
+  for (std::size_t shard = 0; shard < s; ++shard) {
     ShardConfig shard_config;
     shard_config.shard_id = shard;
-    // The ids c with shard_of(c) == shard: [ceil(shard*N/S), ceil((shard+1)*N/S)).
-    const std::size_t n = config_.expected_clients;
-    const std::size_t s = config_.shards;
-    shard_config.first_client = static_cast<int>((shard * n + s - 1) / s);
-    shard_config.last_client = static_cast<int>(((shard + 1) * n + s - 1) / s);
+    shard_config.first_client = static_cast<int>(fl::first_owned_client(shard, s, n));
+    shard_config.last_client = static_cast<int>(fl::first_owned_client(shard + 1, s, n));
     if (config_.port != 0) {
       shard_config.port = static_cast<std::uint16_t>(config_.port + shard);
     }
@@ -561,17 +591,6 @@ HierarchicalServer::HierarchicalServer(
         make_registry_responder("net_root_rounds_total",
                                 "net_root_degraded_rounds_total"));
   }
-  global_parameters_ = eval_classifier_->parameters_flat();
-  auto& registry = obs::Registry::global();
-  rounds_total_ = registry.counter("net_root_rounds_total");
-  degraded_rounds_total_ = registry.counter("net_root_degraded_rounds_total");
-  upload_bytes_total_ = registry.counter("net_upload_bytes_total");
-  download_bytes_total_ = registry.counter("net_download_bytes_total");
-  dropouts_total_ = registry.counter("net_dropouts_total");
-  timeouts_total_ = registry.counter("net_timeouts_total");
-  corrupt_frames_total_ = registry.counter("net_corrupt_frames_total");
-  ejected_clients_total_ = registry.counter("net_ejected_clients_total");
-  round_seconds_ = registry.histogram("net_root_round_seconds");
 }
 
 HierarchicalServer::~HierarchicalServer() {
@@ -579,7 +598,7 @@ HierarchicalServer::~HierarchicalServer() {
 }
 
 std::size_t HierarchicalServer::shard_of(std::size_t client_id) const noexcept {
-  return client_id * shards_.size() / config_.expected_clients;
+  return fl::owner_shard(client_id, config_.shards, config_.expected_clients);
 }
 
 std::uint16_t HierarchicalServer::shard_port(std::size_t shard) const {
@@ -632,15 +651,6 @@ void HierarchicalServer::kill_shard(std::size_t shard) {
 
 fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
   await_clients();
-  const std::uint64_t round_start_ns = obs::now_ns();
-  // Install the round's trace context before the first span so every local
-  // span — and, via RoundRequest, every remote one — carries the same id.
-  const std::uint64_t trace_id = obs::make_trace_id(config_.seed, round);
-  obs::set_trace_context({trace_id, 0, round});
-  FEDGUARD_TRACE_SPAN("net.shard", "root-round:" + std::to_string(round));
-  fl::RoundRecord record;
-  record.round = round;
-
   if (config_.shard_kill_predicate) {
     for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
       if (shards_[shard]->alive() && config_.shard_kill_predicate(shard, round)) {
@@ -652,52 +662,41 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
   // rejoin before the sample is drawn.
   const auto rejoin_deadline = Clock::now() + kRejoinWindow;
   for (auto& shard : shards_) shard->await_rejoins(rejoin_deadline);
+  return engine_.run_round(round, universe_, *this);
+}
 
-  // Sample the surviving universe with fl::Server's rng semantics (an empty
-  // universe draws nothing), then split the sample into per-shard cohorts by
-  // client ownership, preserving sample order within each cohort (cohort
-  // slot order == sample order, the fold-order contract).
-  sampled_.clear();
-  if (!universe_.empty()) {
-    rng_.sample_without_replacement(
-        universe_.size(), std::min(config_.clients_per_round, universe_.size()), sampled_);
-  }
-  record.sampled_clients = sampled_.size();
-  cohorts_.resize(shards_.size());
-  for (auto& cohort : cohorts_) cohort.clear();
-  for (const std::size_t k : sampled_) {
-    const int client = universe_[k];
-    cohorts_[shard_of(static_cast<std::size_t>(client))].push_back(client);
-  }
-
+bool HierarchicalServer::collect(const fl::RoundPlan& plan,
+                                 std::vector<defenses::ShardPartial>& partials,
+                                 fl::RoundRecord& record) {
   RoundRequest request;
-  request.round = round;
+  request.round = plan.round;
   request.want_decoder = merge_strategy_->wants_decoders();
   request.psi_codec = config_.psi_codec;
   request.psi_chunk = config_.psi_chunk;
-  request.trace_id = trace_id;
-  request.global_parameters = global_parameters_;
+  request.trace_id = plan.trace_id;
+  request.global_parameters.assign(plan.global_parameters.begin(),
+                                   plan.global_parameters.end());
   const auto payload =
       std::make_shared<const std::vector<std::byte>>(encode_round_request(request));
-  const auto globals = std::make_shared<const std::vector<float>>(global_parameters_);
+  const auto globals =
+      std::make_shared<const std::vector<float>>(std::move(request.global_parameters));
   const std::size_t theta_dim =
       merge_strategy_->wants_decoders() ? merge_strategy_->decoder_parameter_count() : 0;
 
-  partials_.resize(shards_.size());
   reports_.resize(shards_.size());
   std::vector<bool> dispatched(shards_.size(), false);
   bool degraded = false;
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    partials_[shard].clear();
-    if (cohorts_[shard].empty()) continue;
+    const std::vector<std::size_t>& cohort = plan.cohorts[shard];
+    if (cohort.empty()) continue;
     if (!shards_[shard]->alive()) {
-      record.dropouts += cohorts_[shard].size();  // a dead shard holds no links
+      record.dropouts += cohort.size();  // a dead shard holds no links
       degraded = true;
       continue;
     }
     ShardAggregator::RoundCommand command;
-    command.round = round;
-    command.cohort = cohorts_[shard];
+    command.round = plan.round;
+    for (const std::size_t k : cohort) command.cohort.push_back(plan.sampled[k]);
     command.request_payload = payload;
     command.global_parameters = globals;
     command.theta_dim = theta_dim;
@@ -713,13 +712,13 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     if (!dispatched[shard]) continue;
     ShardRoundReport& report = reports_[shard];
-    if (!shards_[shard]->wait_report(deadline, round, report)) {
-      util::log_warn("hierarchical server: shard %zu missed round %zu", shard, round);
-      record.timeouts += cohorts_[shard].size();
+    if (!shards_[shard]->wait_report(deadline, plan.round, report)) {
+      util::log_warn("hierarchical server: shard %zu missed round %zu", shard, plan.round);
+      record.timeouts += plan.cohorts[shard].size();
       degraded = true;
       continue;
     }
-    std::swap(partials_[shard], report.partial);
+    std::swap(partials[shard], report.partial);
     record.dropouts += report.dropouts;
     record.timeouts += report.timeouts;
     record.corrupt_frames += report.corrupt_frames;
@@ -728,8 +727,9 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
     record.server_upload_bytes += report.upload_bytes;
     record.server_download_bytes += report.download_bytes;
   }
-  // Ejected clients leave the sampling universe from the next round on; a
-  // shard that missed the deadline hands its ejections over all the same.
+  // Ejected clients leave the sampling universe from the next round on (the
+  // engine drew this round's sample before collecting); a shard that missed
+  // the deadline hands its ejections over all the same.
   ejected_.clear();
   for (auto& shard : shards_) shard->take_ejected(ejected_);
   for (const int client : ejected_) {
@@ -737,59 +737,7 @@ fl::RoundRecord HierarchicalServer::run_round(std::size_t round) {
     if (it != universe_.end() && *it == client) universe_.erase(it);
     ++record.ejected_clients;
   }
-
-  std::size_t responded = 0;
-  for (const auto& partial : partials_) {
-    responded += partial.client_count;
-    record.sampled_malicious += partial.malicious_count;
-  }
-  record.stragglers = sampled_.size() - responded;
-
-  bool merged = false;
-  if (responded > 0) {
-    FEDGUARD_TRACE_SPAN("net.shard", "merge");
-    defenses::AggregationContext context;
-    context.round = round;
-    context.global_parameters = global_parameters_;
-    try {
-      merge_strategy_->merge_partials_into(context, partials_, result_);
-      merged = true;
-    } catch (const std::invalid_argument& e) {
-      util::log_warn("hierarchical server: round %zu merge failed (%s); "
-                     "keeping previous global model",
-                     round, e.what());
-    }
-  }
-  if (merged) {
-    if (result_.parameters.size() != global_parameters_.size()) {
-      throw std::runtime_error{"HierarchicalServer: wrong merged dimension"};
-    }
-    for (std::size_t i = 0; i < global_parameters_.size(); ++i) {
-      global_parameters_[i] += config_.server_learning_rate *
-                               (result_.parameters[i] - global_parameters_[i]);
-    }
-    record.rejected_clients = result_.rejected_clients.size();
-  } else {
-    degraded = true;  // nothing arrived: the model carries over unchanged
-  }
-  if (degraded) degraded_rounds_total_.add(1);
-
-  {
-    FEDGUARD_TRACE_SPAN("net.shard", "eval");
-    evaluate_round(record);
-  }
-  upload_bytes_total_.add(record.server_upload_bytes);
-  download_bytes_total_.add(record.server_download_bytes);
-  dropouts_total_.add(record.dropouts);
-  timeouts_total_.add(record.timeouts);
-  corrupt_frames_total_.add(record.corrupt_frames);
-  ejected_clients_total_.add(record.ejected_clients);
-  const double seconds = static_cast<double>(obs::now_ns() - round_start_ns) * 1e-9;
-  record.round_seconds = seconds;
-  round_seconds_.observe(seconds);
-  rounds_total_.add(1);
-  obs::round_tick(round);
-  return record;
+  return degraded;
 }
 
 fl::RunHistory HierarchicalServer::run() {
@@ -811,24 +759,6 @@ fl::RunHistory HierarchicalServer::run() {
     if (shard->alive()) shard->shutdown();
   }
   return history;
-}
-
-void HierarchicalServer::evaluate_round(fl::RoundRecord& record) {
-  eval_classifier_->load_parameters_flat(global_parameters_);
-  std::size_t correct = 0;
-  for (std::size_t start = 0; start < test_set_.size(); start += config_.eval_batch_size) {
-    const std::size_t n = std::min(config_.eval_batch_size, test_set_.size() - start);
-    eval_indices_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) eval_indices_[i] = start + i;
-    const data::Dataset::Batch batch = test_set_.gather(eval_indices_);
-    correct += static_cast<std::size_t>(
-        eval_classifier_->evaluate_accuracy(batch.images, batch.labels) *
-            static_cast<double>(n) +
-        0.5);
-  }
-  record.test_accuracy =
-      test_set_.empty() ? 0.0
-                        : static_cast<double>(correct) / static_cast<double>(test_set_.size());
 }
 
 }  // namespace fedguard::net

@@ -2,16 +2,17 @@
 // Socket federation (the paper's deployment shape, §IV-E, and its two-tier
 // extension): edge ShardAggregators each own a client cohort on their own
 // reactor thread and partially aggregate uploads as they arrive; a root
-// HierarchicalServer admits clients, samples, fans the round out to the
-// shards, merges their ShardPartials through the strategy's
-// mergeable-accumulator seam, applies the server learning rate, and
-// evaluates. The single-tier federation is the same server with shards = 1.
+// HierarchicalServer admits clients and is fl::RoundEngine's socket
+// collector: the engine samples and splits the round into per-shard cohorts,
+// the root fans them out to the shards and hands their ShardPartials back,
+// and the engine merges, applies the server learning rate, and evaluates.
+// The single-tier federation is the same server with shards = 1.
 // docs/SHARDING.md has the topology diagram and the exact-merge vs
 // metadata-routing contract; docs/ROBUSTNESS.md has the fault model.
 //
-// Client ownership is contiguous by id: client c of N belongs to shard
-// floor(c*S/N) and connects to that shard's port, speaking the
-// Hello/RoundRequest/RoundReply protocol of run_remote_client. Within a
+// Client ownership is contiguous by id (fl::owner_shard): client c of N
+// belongs to shard floor(c*S/N) and connects to that shard's port, speaking
+// the Hello/RoundRequest/RoundReply protocol of run_remote_client. Within a
 // shard, round cohort slots follow the root's sample order, and exact
 // strategies (FedAvg) fold replies into the partial in ascending slot order
 // as they land (dynamic batching, no per-round barrier), so the streamed fold
@@ -26,7 +27,8 @@
 // that fails eject_after_failures rounds in a row is ejected and leaves the
 // sampling universe. At each round boundary the root waits a bounded time
 // for lost clients to rejoin. The tallies travel to the root with the
-// partial, and the root writes them into RoundRecord and the net_* counters.
+// partial, and the root writes them into RoundRecord; the engine advances
+// the net_* counters by exactly those fields.
 //
 // Threading: each shard runs one reactor thread; the root communicates
 // through a mutex-guarded mailbox (start_round / stop) plus Reactor::wake,
@@ -44,12 +46,12 @@
 #include "data/dataset.hpp"
 #include "defenses/aggregation.hpp"
 #include "fl/metrics.hpp"
+#include "fl/round_engine.hpp"
 #include "models/classifier.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/telemetry_http.hpp"
 #include "obs/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/serialize.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -263,9 +265,9 @@ struct HierarchicalServerConfig {
   std::function<bool(std::size_t, std::size_t)> shard_kill_predicate;
 };
 
-/// Root merger: admits clients, samples with fl::Server's rng semantics,
-/// drives the shards, merges their partials, applies η, evaluates.
-class HierarchicalServer {
+/// Root: admits clients and collects each fl::RoundEngine round from the
+/// shards (same engine, hence same sampling and merge, as fl::Server).
+class HierarchicalServer : private fl::RoundCollector {
  public:
   /// `strategy_factory` builds one private strategy instance per shard plus
   /// the root's merge instance (call count: shards + 1).
@@ -294,44 +296,27 @@ class HierarchicalServer {
   [[nodiscard]] fl::RunHistory run();
 
   [[nodiscard]] std::span<const float> global_parameters() const noexcept {
-    return global_parameters_;
+    return engine_.global_parameters();
   }
   void kill_shard(std::size_t shard);
 
  private:
-  void evaluate_round(fl::RoundRecord& record);
+  /// Socket collector: dispatch the cohorts, wait for the shard reports,
+  /// fold in their tallies and take the round's ejections.
+  bool collect(const fl::RoundPlan& plan, std::vector<defenses::ShardPartial>& partials,
+               fl::RoundRecord& record) override;
 
   HierarchicalServerConfig config_;
   std::unique_ptr<TelemetryHttpServer> http_server_;  // config.http_port != 0
   std::vector<std::unique_ptr<ShardAggregator>> shards_;
   std::unique_ptr<defenses::AggregationStrategy> merge_strategy_;
-  const data::Dataset& test_set_;
-  models::ImageGeometry geometry_;
-  std::unique_ptr<models::Classifier> eval_classifier_;
-  std::vector<float> global_parameters_;
-  util::Rng rng_;
+  fl::RoundEngine engine_;
   bool admission_closed_ = false;
   /// Sorted ids admitted by the end of the accept phase, minus ejections.
   std::vector<int> universe_;
   // Round-persistent scratch.
-  std::vector<std::size_t> sampled_;
-  std::vector<std::vector<int>> cohorts_;
   std::vector<ShardRoundReport> reports_;
   std::vector<int> ejected_;
-  std::vector<defenses::ShardPartial> partials_;
-  defenses::AggregationResult result_;
-  std::vector<std::size_t> eval_indices_;
-  // Federation instruments (docs/OBSERVABILITY.md §net_*): the fault and
-  // traffic counters advance by exactly each RoundRecord's fields.
-  obs::Counter rounds_total_;
-  obs::Counter degraded_rounds_total_;
-  obs::Counter upload_bytes_total_;
-  obs::Counter download_bytes_total_;
-  obs::Counter dropouts_total_;
-  obs::Counter timeouts_total_;
-  obs::Counter corrupt_frames_total_;
-  obs::Counter ejected_clients_total_;
-  obs::Histogram round_seconds_;
 };
 
 }  // namespace fedguard::net

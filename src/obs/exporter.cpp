@@ -48,6 +48,7 @@ RoundExporter::RoundExporter(ObsOptions options) : options_{std::move(options)} 
   }
   if (!options_.trace_path.empty()) {
     trace_ = std::make_unique<TraceSession>(options_.trace_path);
+    dropped_spans_total_ = Registry::global().counter("obs_trace_dropped_spans_total");
   }
   if (!options_.metrics_path.empty()) {
     // Truncate the per-round snapshot log so a rerun starts clean.
@@ -93,6 +94,12 @@ void RoundExporter::flush() {
 }
 
 void RoundExporter::flush_locked() {
+  if (trace_) {
+    // Spans dropped to buffer overflow are exported, never silent.
+    const std::uint64_t dropped = trace_->dropped_spans();
+    dropped_spans_total_.add(dropped - dropped_exported_);
+    dropped_exported_ = dropped;
+  }
   if (!options_.metrics_path.empty()) {
     Registry::global().write_prometheus(options_.metrics_path);
   }

@@ -6,9 +6,10 @@
 // docs/CONFIG_REFERENCE.md). RoundExporter turns it into behaviour: it owns
 // the TraceSession (when a trace path is set), appends one registry JSON
 // snapshot per round to <obs_metrics_path>.jsonl, and on the configured
-// cadence rewrites the Prometheus text file and flushes the trace.
+// cadence (and at teardown) exports the trace's dropped-span count, rewrites
+// the Prometheus text file and flushes the trace.
 //
-// Both servers report round completion through the free function
+// The round engine reports round completion through the free function
 // obs::round_tick(), which is a relaxed atomic load + nothing when no
 // exporter is installed — servers stay oblivious to whether observability is
 // on. Install at most one exporter at a time (the runner owns it for the
@@ -86,6 +87,10 @@ class RoundExporter {
   // so round_tick can be called from concurrent shard threads.
   util::Mutex io_mutex_;
   std::unique_ptr<TraceSession> trace_ FEDGUARD_PT_GUARDED_BY(io_mutex_);
+  // obs_trace_dropped_spans_total follows trace_->dropped_spans() at every
+  // flush (teardown included); dropped_exported_ is the value it last saw.
+  Counter dropped_spans_total_;
+  std::uint64_t dropped_exported_ FEDGUARD_GUARDED_BY(io_mutex_) = 0;
   // Sampled under io_mutex_ every round so the JSONL snapshot that follows
   // carries fresh steady-state invariant gauges (rss/heap/arena).
   ProcessStatsProbe process_stats_ FEDGUARD_GUARDED_BY(io_mutex_);

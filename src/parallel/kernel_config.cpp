@@ -6,6 +6,7 @@
 #include <memory>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -41,6 +42,12 @@ std::size_t hardware_threads() {
 }
 
 struct PoolState {
+  // Touch the registry first: it then finishes constructing before this
+  // state does and is destroyed after it at exit, so a worker still
+  // recording its last task's instruments while the pool joins never writes
+  // into a destroyed registry.
+  PoolState() { (void)obs::Registry::global(); }
+
   util::Mutex mutex;
   std::unique_ptr<ThreadPool> pool FEDGUARD_GUARDED_BY(mutex);
   std::size_t pool_threads FEDGUARD_GUARDED_BY(mutex) = 0;

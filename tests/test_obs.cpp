@@ -305,6 +305,69 @@ TEST_F(ObsTest, RoundExporterWritesMetricsTraceAndJsonl) {
   EXPECT_EQ(events[0].category, "round");
 }
 
+TEST_F(ObsTest, RoundExporterExportsDroppedSpans) {
+  ObsOptions options;
+  options.trace_path = temp_path("exporter_dropped_trace.json");
+  options.metrics_path = temp_path("exporter_dropped_metrics.prom");
+  options.flush_every_rounds = 1;
+  Registry& registry = Registry::global();
+  const std::uint64_t before = registry.counter_value("obs_trace_dropped_spans_total");
+  // More spans than one thread's default buffer holds between flushes.
+  constexpr std::size_t kSpans = 40000;
+  std::uint64_t exported = 0;
+  {
+    RoundExporter exporter{options};
+    for (std::size_t i = 0; i < kSpans; ++i) Span span{"round", "overflow"};
+    round_tick(0);
+    exported = registry.counter_value("obs_trace_dropped_spans_total") - before;
+  }
+  std::size_t kept = 0;
+  for (const ParsedEvent& event : parse_trace_file(options.trace_path)) {
+    if (event.name == "overflow" && event.phase == 'B') ++kept;
+  }
+  ASSERT_LT(kept, kSpans) << "the buffer never overflowed";
+  EXPECT_EQ(exported, kSpans - kept) << "every span missing from the trace is counted";
+  // Teardown exports too, and the Prometheus file carries the series.
+  EXPECT_EQ(registry.counter_value("obs_trace_dropped_spans_total") - before, exported);
+  std::ifstream prom{options.metrics_path};
+  const std::string text{std::istreambuf_iterator<char>{prom}, {}};
+  EXPECT_NE(text.find("obs_trace_dropped_spans_total"), std::string::npos);
+}
+
+TEST_F(ObsTest, EvalSpanClosesBeforeTheRoundIsExported) {
+  core::ExperimentConfig config = core::ExperimentConfig::small_scale();
+  config.train_samples = 160;
+  config.test_samples = 40;
+  config.auxiliary_samples = 20;
+  config.num_clients = 2;
+  config.clients_per_round = 2;
+  config.rounds = 1;
+  config.client.local_epochs = 1;
+  config.strategy = core::StrategyKind::FedAvg;
+  config.seed = 77;
+  core::Federation fed = core::build_federation(config);
+
+  ObsOptions options;
+  options.trace_path = temp_path("eval_before_export.json");
+  options.flush_every_rounds = 1;
+  RoundExporter exporter{options};
+  (void)fed.server->run_round(0);
+  // The round-0 flush ran inside round/export, after eval closed: the file
+  // on disk already holds eval's E event (and export's B, still open then).
+  bool eval_begin = false;
+  bool eval_end = false;
+  bool export_begin = false;
+  for (const ParsedEvent& event : parse_trace_file(options.trace_path)) {
+    if (event.category != "round") continue;
+    eval_begin = eval_begin || (event.name == "eval" && event.phase == 'B');
+    eval_end = eval_end || (event.name == "eval" && event.phase == 'E');
+    export_begin = export_begin || (event.name == "export" && event.phase == 'B');
+  }
+  EXPECT_TRUE(eval_begin);
+  EXPECT_TRUE(eval_end) << "the round-0 export was billed to eval";
+  EXPECT_TRUE(export_begin);
+}
+
 // ---- Registry determinism across kernel thread counts -------------------------
 
 struct TrafficDeltas {

@@ -227,6 +227,42 @@ TEST(ShardedKrum, AcceptSetDivergesFromUnsharded) {
   EXPECT_EQ(merged.parameters.size(), kDim);
 }
 
+TEST(ShardedKrum, MetadataPartialRecyclesTwoBuffers) {
+  // The default (metadata) partial swaps its buffers with the strategy's
+  // scratch instead of moving the scratch out: from the third call on,
+  // out.parameters alternates between the same two allocations, so a
+  // steady-state round allocates no ψ-sized vector. Every call is followed by
+  // a retained allocation of the same size, so a path that frees and
+  // reallocates cannot land on a recycled address by chance.
+  constexpr std::size_t kClients = 6;
+  constexpr std::size_t kDim = 512;
+  UpdateMatrix matrix;
+  matrix.reset(kClients, kDim);
+  for (std::size_t r = 0; r < kClients; ++r) {
+    fill_row(matrix.psi(r), r);
+    matrix.meta(r).client_id = static_cast<int>(r);
+    matrix.meta(r).num_samples = 10;
+  }
+  std::vector<float> global(kDim, 0.0f);
+  AggregationContext context;
+  context.global_parameters = global;
+
+  defenses::KrumAggregator krum{0.25, 1};
+  ShardPartial out;
+  std::vector<const float*> buffers;
+  std::vector<std::vector<float>> blockers;
+  for (int call = 0; call < 10; ++call) {
+    krum.partial_aggregate_into(context, UpdateView{matrix}, 0, out);
+    ASSERT_EQ(out.parameters.size(), kDim);
+    buffers.push_back(out.parameters.data());
+    blockers.emplace_back(kDim, 0.0f);
+  }
+  EXPECT_NE(buffers[2], buffers[3]);
+  for (std::size_t call = 4; call < buffers.size(); ++call) {
+    EXPECT_EQ(buffers[call], buffers[call % 2 == 0 ? 2 : 3]) << "call " << call;
+  }
+}
+
 TEST(ShardedFedGuard, AcceptSetDivergesFromUnsharded) {
   // FedGuard keeps clients scoring >= mean(ACC on D_syn); sharding makes the
   // threshold per-cohort. The fixture plants a mediocre client (slot 6) in
