@@ -26,11 +26,11 @@
 //   --trace trace.json      Chrome trace_event output (open at ui.perfetto.dev)
 //   --metrics metrics.prom  Prometheus text + per-round snapshots (.jsonl)
 //   --metrics-port 9464     Live /metrics, /metrics.json and /healthz over
-//                           HTTP: the root serves PORT, shard i serves
-//                           PORT+1+i (every shard data port also answers
-//                           scrapes). The sharded demo self-checks the
-//                           endpoints mid-federation and prints a FAIL: line
-//                           when a scrape does not come back healthy.
+//                           HTTP on PORT, the process's one scrape port
+//                           (shard series carry a shard="i" label). The
+//                           sharded demo self-checks the endpoints
+//                           mid-federation and prints a FAIL: line when a
+//                           scrape does not come back healthy.
 
 #include <atomic>
 #include <chrono>
@@ -336,16 +336,16 @@ int run_sharded_demo(const core::CliOptions& options) {
   }
   const auto exporter = exporter_from_options(options);
   // Mid-federation scrape smoke check: while the rounds run, hit the root's
-  // /healthz (standalone listener) and shard 0's data port /metrics (reactor
-  // auto-detection) and record whether both answered healthy.
+  // /healthz and /metrics and record whether both answered healthy, the
+  // latter with shard 0's series on it.
   std::atomic<bool> root_healthy{false};
   std::atomic<bool> shard_healthy{false};
   std::thread probe;
   if (metrics_port != 0) {
-    const std::uint16_t shard0_port = server.shard_port(0);
-    probe = std::thread{[&, shard0_port] {
+    probe = std::thread{[&] {
       root_healthy = probe_until(metrics_port, "/healthz", "\"status\":\"ok\"");
-      shard_healthy = probe_until(shard0_port, "/metrics", "net_shard_rounds_total");
+      shard_healthy = probe_until(metrics_port, "/metrics",
+                                  "net_shard_rounds_total{shard=\"0\"}");
     }};
   }
   const fl::RunHistory history = server.run();
@@ -358,10 +358,11 @@ int run_sharded_demo(const core::CliOptions& options) {
       return 1;
     }
     if (!shard_healthy) {
-      std::printf("FAIL: shard 0 data-port /metrics scrape never answered\n");
+      std::printf("FAIL: root /metrics never showed shard 0's series\n");
       return 1;
     }
-    std::printf("live telemetry verified mid-run (root /healthz + shard /metrics)\n");
+    std::printf("live telemetry verified mid-run "
+                "(root /healthz + /metrics with shard 0 series)\n");
   }
 
   for (const auto& round : history.rounds) {

@@ -78,8 +78,7 @@ fl::RunHistory Federation::run() {
     exporter = std::make_unique<obs::RoundExporter>(config.obs);
   }
   // Live exposition (descriptor key obs_http_port / --metrics-port): the
-  // in-process simulator has no reactor of its own, so scrapes get a
-  // dedicated listener thread for the duration of the run.
+  // process's one scrape listener, alive for the duration of the run.
   std::unique_ptr<net::TelemetryHttpServer> http_server;
   if (config.obs.http_port != 0) {
     http_server = std::make_unique<net::TelemetryHttpServer>(

@@ -62,33 +62,10 @@ void Reactor::listen(TcpListener& listener) {
   listener_ = &listener;
 }
 
-void Reactor::listen_also(TcpListener& listener) {
-  if (extra_listeners_.size() >= 64) {
-    throw std::logic_error{"Reactor::listen_also: too many listeners"};
-  }
-  listener.set_nonblocking(true);
-  // Level-triggered, same EMFILE rationale as the primary listener.
-  epoll_event event =
-      make_event(EPOLLIN, kExtraListenerBase + extra_listeners_.size());
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener.fd(), &event) != 0) {
-    throw_errno("epoll_ctl(listener)");
-  }
-  extra_listeners_.push_back(&listener);
-}
-
 void Reactor::stop_listening() {
-  if (listener_ != nullptr) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_->fd(), nullptr);
-    listener_ = nullptr;
-  }
-  for (TcpListener* extra : extra_listeners_) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, extra->fd(), nullptr);
-  }
-  extra_listeners_.clear();
-}
-
-void Reactor::set_http_responder(obs::HttpResponder responder) {
-  http_ = std::move(responder);
+  if (listener_ == nullptr) return;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener_->fd(), nullptr);
+  listener_ = nullptr;
 }
 
 Reactor::ConnectionId Reactor::register_connection(TcpStream stream) {
@@ -112,18 +89,11 @@ Reactor::ConnectionId Reactor::add_connection(TcpStream stream) {
   return register_connection(std::move(stream));
 }
 
-void Reactor::accept_pending(TcpListener& listener) {
-  // on_accept may call stop_listening; re-check registration every lap so an
-  // accept loop never outlives the listener's borrow.
-  const auto still_registered = [&]() noexcept {
-    if (listener_ == &listener) return true;
-    for (const TcpListener* extra : extra_listeners_) {
-      if (extra == &listener) return true;
-    }
-    return false;
-  };
-  while (still_registered()) {
-    std::optional<TcpStream> stream = listener.accept_nonblocking();
+void Reactor::accept_pending() {
+  // on_accept may call stop_listening; re-check every lap so an accept loop
+  // never outlives the listener's borrow.
+  while (listener_ != nullptr) {
+    std::optional<TcpStream> stream = listener_->accept_nonblocking();
     if (!stream) break;
     const ConnectionId id = register_connection(std::move(*stream));
     if (callbacks_.on_accept) callbacks_.on_accept(id);
@@ -151,12 +121,7 @@ std::size_t Reactor::poll_once(std::chrono::milliseconds timeout) {
       continue;
     }
     if (tag == kListenerTag) {
-      if (listener_ != nullptr) accept_pending(*listener_);
-      continue;
-    }
-    if (tag >= kExtraListenerBase) {
-      const std::size_t index = static_cast<std::size_t>(tag - kExtraListenerBase);
-      if (index < extra_listeners_.size()) accept_pending(*extra_listeners_[index]);
+      accept_pending();
       continue;
     }
     // The connection may have been dropped by an earlier event in this batch.
@@ -181,12 +146,6 @@ void Reactor::handle_readable(ConnectionId id) {
   connection.last_activity = std::chrono::steady_clock::now();
   // Edge-triggered: drain until WouldBlock or the connection drops.
   for (;;) {
-    if (connection.read_state == Connection::ReadState::Http &&
-        connection.read_buffer.size() - connection.read_pos < 128) {
-      // HTTP request lines arrive without a length prefix: grow the buffer
-      // incrementally; the parser rejects anything past kMaxHttpRequestBytes.
-      connection.read_buffer.resize(connection.read_pos + 512);
-    }
     std::span<std::byte> remaining{connection.read_buffer.data() + connection.read_pos,
                                    connection.read_buffer.size() - connection.read_pos};
     std::size_t transferred = 0;
@@ -205,52 +164,10 @@ void Reactor::handle_readable(ConnectionId id) {
       return;
     }
     connection.read_pos += transferred;
-    if (connection.read_state == Connection::ReadState::HttpDrain) {
-      // Response already queued; anything else the scraper sends (request
-      // headers, pipelined requests) is discarded until the close.
-      connection.read_pos = 0;
-      continue;
-    }
-    if (connection.read_state == Connection::ReadState::Http) {
-      if (!advance_http(id, connection)) return;
-      continue;
-    }
-    if (connection.read_state == Connection::ReadState::Header &&
-        http_.enabled() && connection.read_pos >= 5 &&
-        obs::looks_like_http(
-            {connection.read_buffer.data(), connection.read_pos})) {
-      // A scraper, not a federation peer: the buffered prefix is an HTTP
-      // method token, which can never collide with the FGNM frame magic.
-      connection.read_state = Connection::ReadState::Http;
-      connection.read_buffer.resize(connection.read_pos);
-      if (!advance_http(id, connection)) return;
-      continue;
-    }
     if (connection.read_pos == connection.read_buffer.size()) {
       if (!advance_frame(id, connection)) return;
     }
   }
-}
-
-bool Reactor::advance_http(ConnectionId id, Connection& connection) {
-  const obs::HttpRequest request = obs::parse_http_request(
-      {connection.read_buffer.data(), connection.read_pos});
-  if (request.status == obs::HttpParseStatus::NeedMore) return true;
-  if (request.status == obs::HttpParseStatus::Bad) {
-    // Garbage or oversized request line: same fate as a desynced frame
-    // stream, and the drop never touches any other connection.
-    drop(id);
-    return false;
-  }
-  const std::string response = obs::http_response_for(http_, request.path);
-  std::vector<std::byte> bytes(response.size());
-  std::memcpy(bytes.data(), response.data(), response.size());
-  connection.read_state = Connection::ReadState::HttpDrain;
-  connection.read_pos = 0;
-  connection.close_after_flush = true;
-  connection.write_queue.push_back(std::move(bytes));
-  flush_writes(id, connection);
-  return connections_.find(id) != connections_.end();
 }
 
 bool Reactor::advance_frame(ConnectionId id, Connection& connection) {
@@ -360,11 +277,6 @@ void Reactor::flush_writes(ConnectionId id, Connection& connection) {
       connection.write_queue.pop_front();
       connection.write_offset = 0;
     }
-  }
-  if (connection.close_after_flush) {
-    // One-shot HTTP exchange fully written: close our end.
-    drop(id);
-    return;
   }
   arm_writes(connection, connection.stream.fd(), id, false);
 }

@@ -5,13 +5,15 @@
 //
 // Per connection the reactor runs a read state machine over the CRC-framed
 // wire protocol (net/message.hpp): header bytes -> decode_frame_header ->
-// payload bytes -> verify_payload_crc -> on_message. Reads are edge-triggered
-// (EPOLLET) and drained until WouldBlock via TcpStream::read_some, so a
-// readiness edge is never lost; writes go through per-connection queues whose
-// EPOLLOUT interest is armed only while bytes are pending. The listening
-// socket stays level-triggered: under descriptor exhaustion (EMFILE) a
-// pending peer must be re-offered on the next cycle instead of silently
-// dropped.
+// payload bytes -> verify_payload_crc -> on_message. It speaks frames only:
+// any other bytes, an HTTP request included, die by the frame rules
+// (BadMagic); live /metrics has its own port (net::TelemetryHttpServer).
+// Reads are edge-triggered (EPOLLET) and drained until WouldBlock via
+// TcpStream::read_some, so a readiness edge is never lost; writes go through
+// per-connection queues whose EPOLLOUT interest is armed only while bytes are
+// pending. The listening socket stays level-triggered: under descriptor
+// exhaustion (EMFILE) a pending peer must be re-offered on the next cycle
+// instead of silently dropped.
 //
 // Threading: the reactor is single-threaded by design — every method must be
 // called from the thread that runs poll_once(), except wake(), which any
@@ -28,7 +30,6 @@
 
 #include "net/message.hpp"
 #include "net/socket.hpp"
-#include "obs/http_exposition.hpp"
 
 namespace fedguard::net {
 
@@ -60,22 +61,8 @@ class Reactor {
   /// is borrowed (must outlive the reactor or be detached via stop_listening)
   /// and is switched to non-blocking mode.
   void listen(TcpListener& listener);
-  /// Accept from an additional listener (e.g. a shard's dedicated scrape
-  /// port). Connections behave identically to primary-listener ones: frames
-  /// or HTTP, auto-detected per connection. Same borrowing contract.
-  void listen_also(TcpListener& listener);
-  /// Stop accepting (deregisters every listener; existing connections live
-  /// on).
+  /// Stop accepting (deregisters the listener; existing connections live on).
   void stop_listening();
-
-  /// Enable live HTTP exposition on this reactor: a connection whose first
-  /// bytes look like an HTTP GET/HEAD request (instead of an FGNM frame) is
-  /// switched into a one-shot HTTP/1.0 exchange served from `responder`,
-  /// written through the ordinary non-blocking write queue (partial-write
-  /// safe, slow scrapers never stall federation traffic) and closed after
-  /// the response drains. Without a responder such bytes stay what they
-  /// always were: a BadMagic drop.
-  void set_http_responder(obs::HttpResponder responder);
 
   /// Adopt an already-connected stream (client-side reuse: the bench drives
   /// thousands of outbound sockets through one reactor). The stream is
@@ -115,24 +102,18 @@ class Reactor {
  private:
   struct Connection {
     TcpStream stream;
-    // Http: the connection revealed itself as a scraper (GET/HEAD prefix
-    // instead of frame magic) and is accumulating its request line.
-    // HttpDrain: response queued; any further input is read and discarded
-    // until the peer closes or the flushed response drops the connection.
-    enum class ReadState { Header, Payload, Http, HttpDrain } read_state =
-        ReadState::Header;
+    enum class ReadState { Header, Payload } read_state = ReadState::Header;
     std::vector<std::byte> read_buffer;
     std::size_t read_pos = 0;
     FrameHeader header{};
     std::deque<std::vector<std::byte>> write_queue;
     std::size_t write_offset = 0;  // bytes of write_queue.front() already sent
     bool write_armed = false;      // EPOLLOUT currently registered
-    bool close_after_flush = false;  // drop once write_queue drains (HTTP)
     std::chrono::steady_clock::time_point last_activity;
   };
 
   ConnectionId register_connection(TcpStream stream);
-  void accept_pending(TcpListener& listener);
+  void accept_pending();
   void handle_readable(ConnectionId id);
   void handle_writable(ConnectionId id);
   /// Advance the frame state machine once read_buffer is full. Returns false
@@ -140,9 +121,6 @@ class Reactor {
   bool advance_frame(ConnectionId id, Connection& connection);
   /// Complete-payload continuation: verify CRC, deliver, reset to Header.
   bool advance_frame_payload_done(ConnectionId id, Connection& connection);
-  /// Try to parse + answer the buffered HTTP request. Returns false when the
-  /// connection was dropped (bad request) or handed to HttpDrain.
-  bool advance_http(ConnectionId id, Connection& connection);
   void flush_writes(ConnectionId id, Connection& connection);
   void arm_writes(Connection& connection, int fd, ConnectionId id, bool enabled);
   void drop(ConnectionId id);
@@ -150,11 +128,9 @@ class Reactor {
   void drop_peer(ConnectionId id);
 
   Callbacks callbacks_;
-  obs::HttpResponder http_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd; the only cross-thread touchpoint
   TcpListener* listener_ = nullptr;
-  std::vector<TcpListener*> extra_listeners_;
   ConnectionId next_id_ = kFirstConnectionId;
   std::unordered_map<ConnectionId, Connection> connections_;
   std::vector<ConnectionId> scratch_ids_;  // sweep/close iteration scratch
@@ -162,9 +138,6 @@ class Reactor {
   static constexpr ConnectionId kListenerTag = 0;
   static constexpr ConnectionId kWakeTag = 1;
   static constexpr ConnectionId kFirstConnectionId = 2;
-  // Extra listeners are tagged from the top of the id space, far above any
-  // connection id, so kFirstConnectionId semantics never shift.
-  static constexpr ConnectionId kExtraListenerBase = ~ConnectionId{0} - 64;
 };
 
 }  // namespace fedguard::net

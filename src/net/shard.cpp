@@ -66,14 +66,6 @@ ShardAggregator::ShardAggregator(ShardConfig config,
   telemetry_reports_total_ = registry.counter("net_shard_telemetry_reports_total" + label);
   telemetry_events_total_ = registry.counter("net_shard_telemetry_events_total" + label);
   arena_capacity_bytes_ = registry.gauge("obs_arena_capacity_bytes" + label);
-  // Live exposition: the data port always answers HTTP scrapes (the reactor
-  // auto-detects them) and an optional dedicated port serves the same
-  // endpoints for scrapers that must not touch the data port.
-  reactor_.set_http_responder(make_registry_responder(
-      "net_shard_rounds_total" + label, "net_shard_timeouts_total" + label));
-  if (config_.http_port != 0) {
-    http_listener_ = std::make_unique<TcpListener>(config_.http_port);
-  }
   thread_ = std::thread{[this] { thread_main(); }};
 }
 
@@ -160,7 +152,6 @@ void ShardAggregator::kill() {
 
 void ShardAggregator::thread_main() {
   reactor_.listen(listener_);
-  if (http_listener_) reactor_.listen_also(*http_listener_);
   for (;;) {
     reactor_.poll_once(config_.poll_timeout);
     RoundCommand round_command;
@@ -483,7 +474,6 @@ void ShardAggregator::stop(bool graceful) {
   reactor_.close_all();
   reactor_.stop_listening();
   listener_.close();  // late joiners now get ECONNREFUSED instead of queueing
-  if (http_listener_) http_listener_->close();
   {
     util::MutexLock lock{mutex_};
     running_ = false;
@@ -579,10 +569,6 @@ HierarchicalServer::HierarchicalServer(
     shard_config.idle_timeout =
         milliseconds{static_cast<std::int64_t>(config_.reactor_idle_timeout_ms)};
     shard_config.eject_after_failures = config_.eject_after_failures;
-    if (config_.http_port != 0) {
-      shard_config.http_port =
-          static_cast<std::uint16_t>(config_.http_port + 1 + shard);
-    }
     shards_.push_back(std::make_unique<ShardAggregator>(shard_config, strategy_factory()));
   }
   if (config_.http_port != 0) {

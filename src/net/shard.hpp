@@ -76,9 +76,6 @@ struct ShardConfig {
   /// Kernel accept backlog: shards absorb hundreds of near-simultaneous
   /// joins at federation start.
   int listen_backlog = 1024;
-  /// Dedicated live-scrape port (0 = none). Either way the data port also
-  /// answers HTTP scrapes — the reactor auto-detects GET/HEAD prefixes.
-  std::uint16_t http_port = 0;
 };
 
 /// One shard's round outcome, handed to the root in one mailbox hop: the
@@ -181,7 +178,6 @@ class ShardAggregator {
   ShardConfig config_;
   std::unique_ptr<defenses::AggregationStrategy> strategy_;
   TcpListener listener_;
-  std::unique_ptr<TcpListener> http_listener_;  // ShardConfig::http_port != 0
   Reactor reactor_;
 
   // ---- Reactor-thread-only state (no locks needed) ---------------------------
@@ -257,9 +253,9 @@ struct HierarchicalServerConfig {
   /// offer (RemoteClientOptions::force_fp32) still interoperates.
   util::WireCodec psi_codec = util::WireCodec::Fp32;
   std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
-  /// Live scrape base port (0 = exposition off): the root serves http_port
-  /// via a standalone TelemetryHttpServer; shard i serves http_port + 1 + i
-  /// on its own reactor. Shard data ports additionally auto-detect scrapes.
+  /// Live scrape port (0 = exposition off): one TelemetryHttpServer serves
+  /// the process registry, shard-labelled series included. Data ports speak
+  /// frames only.
   std::uint16_t http_port = 0;
   /// Chaos hook: (shard, round) -> kill that shard at the round's start.
   std::function<bool(std::size_t, std::size_t)> shard_kill_predicate;

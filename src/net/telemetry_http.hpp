@@ -1,24 +1,26 @@
 #pragma once
-// Standalone live-scrape server: one TcpListener + Reactor + thread serving
+// The process's one live-scrape server: a TcpListener and one thread serving
 // the obs::HttpResponder endpoints (/metrics, /metrics.json, /healthz) on a
-// dedicated port. This is the exposition path for processes that do NOT
-// already run a reactor — the in-process fl::Server simulation and the
-// HierarchicalServer root — while shard tiers instead host scrapes as
-// auto-detected connections on their existing data-port reactor
-// (Reactor::set_http_responder / listen_also).
+// dedicated port. Every host uses it — the in-process fl::Server simulation
+// and the HierarchicalServer root, whose shards run in the same process and
+// so already appear on the root's /metrics as {shard="i"} series. Federation
+// data ports speak frames only.
 //
 // The serving thread only ever touches the registry expositions (thread-safe
 // by the Registry contract), so starting one alongside a running federation
 // is free of coordination: construct it after the exporter exists, destroy
-// it before teardown. All scrape traffic is HTTP/1.0 one-shot exchanges;
-// a peer that speaks FGNM frames at this port is dropped on decode.
+// it before teardown. Exchanges are one-shot HTTP/1.0, served one at a time;
+// each is bounded by a whole-exchange deadline, so a peer that stalls or
+// trickles costs later scrapers at most that long. Any other peer, a
+// federation client speaking FGNM frames included, fails the request parse
+// or the deadline and is dropped without an answer.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
 
-#include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "obs/http_exposition.hpp"
 
@@ -38,11 +40,16 @@ class TelemetryHttpServer {
   /// The actually bound port.
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
+  /// Bound on one whole exchange, request read and response write together;
+  /// also the longest a stalled or trickling peer delays the next scraper.
+  static constexpr std::chrono::milliseconds kExchangeDeadline{2000};
+
  private:
   void serve();
+  void exchange(TcpStream& stream) const;
 
   TcpListener listener_;
-  Reactor reactor_;
+  obs::HttpResponder responder_;
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };

@@ -39,12 +39,11 @@ struct ObsOptions {
   // Histogram bucket upper bounds for histograms registered without explicit
   // bounds; empty keeps Registry::default_buckets().
   std::vector<double> histogram_buckets;
-  // Live scrape endpoint base port (obs_http_port key / --metrics-port flag);
-  // 0 disables. The root (or the in-process server) serves on this port and
-  // shard aggregator i serves on http_port + 1 + i — see
-  // docs/OBSERVABILITY.md § Live scrape endpoints. Hosted by the net layer
-  // (net::TelemetryHttpServer / reactor-attached responders), not by the
-  // RoundExporter.
+  // Live scrape port (obs_http_port key / --metrics-port flag); 0 disables.
+  // One listener per process serves it: the in-process server, or the
+  // two-tier root, whose shards' series carry a shard="i" label — see
+  // docs/OBSERVABILITY.md § Live exposition. Hosted by the net layer
+  // (net::TelemetryHttpServer), not by the RoundExporter.
   std::uint16_t http_port = 0;
 
   [[nodiscard]] bool enabled() const noexcept {

@@ -8,18 +8,6 @@ namespace fedguard::obs {
 
 namespace {
 
-constexpr std::string_view kGet = "GET ";
-constexpr std::string_view kHead = "HEAD ";
-
-bool prefix_matches(std::span<const std::byte> prefix,
-                    std::string_view token) noexcept {
-  const std::size_t n = prefix.size() < token.size() ? prefix.size() : token.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (static_cast<char>(prefix[i]) != token[i]) return false;
-  }
-  return true;
-}
-
 std::string_view status_reason(int status_code) noexcept {
   switch (status_code) {
     case 200: return "OK";
@@ -44,23 +32,22 @@ std::string guarded_body(const std::function<std::string()>& producer,
 
 }  // namespace
 
-bool looks_like_http(std::span<const std::byte> prefix) noexcept {
-  if (prefix.empty()) return false;
-  return prefix_matches(prefix, kGet) || prefix_matches(prefix, kHead);
-}
-
 HttpRequest parse_http_request(std::span<const std::byte> data,
                                std::size_t max_request_bytes) {
   HttpRequest request;
   // Find the end of the request line ('\n'; a preceding '\r' is trimmed).
-  std::size_t line_end = data.size();
-  for (std::size_t i = 0; i < data.size(); ++i) {
+  // Only the first max_request_bytes can hold it: a later '\n' means the
+  // line is over the cap.
+  const std::size_t scan =
+      data.size() < max_request_bytes ? data.size() : max_request_bytes;
+  std::size_t line_end = scan;
+  for (std::size_t i = 0; i < scan; ++i) {
     if (static_cast<char>(data[i]) == '\n') {
       line_end = i;
       break;
     }
   }
-  if (line_end == data.size()) {
+  if (line_end == scan) {
     request.status = data.size() >= max_request_bytes ? HttpParseStatus::Bad
                                                       : HttpParseStatus::NeedMore;
     return request;
@@ -77,7 +64,9 @@ HttpRequest parse_http_request(std::span<const std::byte> data,
     return request;
   }
   const std::string method = line.substr(0, method_end);
-  if (method != "GET" && method != "HEAD") {
+  if (method == "HEAD") {
+    request.method = HttpMethod::Head;
+  } else if (method != "GET") {
     request.status = HttpParseStatus::Bad;
     return request;
   }
@@ -110,8 +99,10 @@ std::string http_response(int status_code, std::string_view content_type,
   return out;
 }
 
-std::string http_response_for(const HttpResponder& responder,
-                              const std::string& path) {
+namespace {
+
+/// The full GET response for `path`.
+std::string route(const HttpResponder& responder, const std::string& path) {
   const std::function<std::string()>* producer = nullptr;
   std::string_view content_type = "text/plain; charset=utf-8";
   if (path == "/metrics") {
@@ -133,6 +124,18 @@ std::string http_response_for(const HttpResponder& responder,
   const std::string body = guarded_body(*producer, failed);
   if (failed) return http_response(503, "text/plain; charset=utf-8", body);
   return http_response(200, content_type, body);
+}
+
+}  // namespace
+
+std::string http_response_for(const HttpResponder& responder,
+                              const HttpRequest& request) {
+  std::string response = route(responder, request.path);
+  if (request.method == HttpMethod::Head) {
+    // Keep the status line and headers, Content-Length included.
+    response.resize(response.find("\r\n\r\n") + 4);
+  }
+  return response;
 }
 
 std::string healthz_json(const std::string& rounds_counter,

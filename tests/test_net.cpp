@@ -1,8 +1,13 @@
-// Wire-protocol and distributed-federation tests (loopback TCP).
+// Wire-protocol, /metrics listener and distributed-federation tests
+// (loopback TCP).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "data/partition.hpp"
@@ -11,8 +16,11 @@
 #include "defenses/fedguard.hpp"
 #include "net/remote.hpp"
 #include "net/shard.hpp"
+#include "net/telemetry_http.hpp"
+#include "obs/http_exposition.hpp"
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace fedguard::net {
 namespace {
@@ -209,6 +217,186 @@ TEST(Sockets, CorruptBytesOnWireAreTypedErrors) {
   // A CRC failure leaves the stream framed: the link is still usable.
   server_side.send_message({MessageType::Shutdown, {}});
   client_thread.join();
+}
+
+// ---- The /metrics listener (TelemetryHttpServer) --------------------------------
+
+using namespace std::chrono_literals;
+
+std::span<const std::byte> bytes_of(std::string_view text) {
+  return std::as_bytes(std::span{text.data(), text.size()});
+}
+
+/// Read until the server closes the connection; nullopt when it has not
+/// closed within the stream's receive timeout.
+std::optional<std::string> read_until_close(TcpStream& stream) {
+  std::string response;
+  std::byte chunk[2048];
+  for (;;) {
+    std::size_t transferred = 0;
+    switch (stream.read_some(chunk, transferred)) {
+      case IoStatus::Ready:
+        response.append(reinterpret_cast<const char*>(chunk), transferred);
+        break;
+      case IoStatus::Closed:
+        return response;
+      case IoStatus::WouldBlock:
+        return std::nullopt;
+    }
+  }
+}
+
+TcpStream connect_scraper(std::uint16_t port) {
+  TcpStream stream = TcpStream::connect("127.0.0.1", port);
+  stream.set_receive_timeout(10s);
+  return stream;
+}
+
+/// One exchange: send `request` whole, read to the server's close.
+std::optional<std::string> scrape(std::uint16_t port, std::string_view request) {
+  TcpStream stream = connect_scraper(port);
+  stream.send_all(bytes_of(request));
+  return read_until_close(stream);
+}
+
+std::string body_of(const std::string& response) {
+  const std::size_t end = response.find("\r\n\r\n");
+  return end == std::string::npos ? std::string{} : response.substr(end + 4);
+}
+
+obs::HttpResponder fixed_responder() {
+  obs::HttpResponder responder;
+  responder.metrics_text = [] { return std::string{"scrape_up 1\n"}; };
+  responder.healthz = [] { return std::string{"{\"status\":\"ok\"}\n"}; };
+  return responder;
+}
+
+TEST(TelemetryHttp, AnswersLiveScrapes) {
+  obs::Counter marker = obs::Registry::global().counter("live_scrape_marker_total");
+  marker.add(9);
+  TelemetryHttpServer server{0, make_registry_responder("live_scrape_marker_total", "")};
+  ASSERT_NE(server.port(), 0) << "ephemeral bind must report the real port";
+
+  const auto get = [&](const std::string& path) {
+    return scrape(server.port(), "GET " + path + " HTTP/1.0\r\n\r\n").value_or("");
+  };
+  const std::string metrics = get("/metrics");
+  EXPECT_NE(metrics.find("200"), std::string::npos);
+  EXPECT_NE(metrics.find("live_scrape_marker_total 9"), std::string::npos);
+  const std::string health = get("/healthz");
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(health.find("\"rounds_completed\":9"), std::string::npos);
+  EXPECT_NE(get("/nope").find("404"), std::string::npos);
+}
+
+TEST(TelemetryHttp, HeadGetsHeadersWithoutBody) {
+  TelemetryHttpServer server{0, fixed_responder()};
+  const std::string get = scrape(server.port(), "GET /metrics HTTP/1.0\r\n").value_or("");
+  const std::string head = scrape(server.port(), "HEAD /metrics HTTP/1.0\r\n").value_or("");
+  EXPECT_EQ(body_of(get), "scrape_up 1\n");
+  ASSERT_NE(head.find("200"), std::string::npos) << head;
+  EXPECT_EQ(body_of(head), "") << "RFC 9110 9.3.2: no body in a HEAD response";
+  // Same headers as GET, Content-Length included.
+  EXPECT_EQ(head, get.substr(0, get.size() - body_of(get).size()));
+}
+
+TEST(TelemetryHttp, SlowScraperTricklingBytesStillGetsAnswered) {
+  TelemetryHttpServer server{0, fixed_responder()};
+  TcpStream scraper = connect_scraper(server.port());
+  // One byte at a time: the listener keeps reading through NeedMore. The
+  // response fires as soon as the request LINE is complete, so trickle
+  // exactly that much — more bytes would race the server's close.
+  const std::string request = "GET /healthz HTTP/1.0\r\n";
+  for (const char byte : request) {
+    scraper.send_all(bytes_of({&byte, 1}));
+    std::this_thread::sleep_for(5ms);
+  }
+  const std::string response = read_until_close(scraper).value_or("");
+  EXPECT_NE(response.find("200"), std::string::npos);
+  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
+}
+
+TEST(TelemetryHttp, OversizedRequestIsDroppedWithoutAnswer) {
+  TelemetryHttpServer server{0, fixed_responder()};
+  // A method prefix followed by 8 KiB of junk and no terminator: the parse
+  // is Bad at the size cap and the peer is closed with no response.
+  const std::optional<std::string> dropped =
+      scrape(server.port(), "GET /" + std::string(8192, 'a'));
+  ASSERT_TRUE(dropped.has_value()) << "the server must close the connection";
+  EXPECT_EQ(*dropped, "");
+  const std::string next =
+      scrape(server.port(), "GET /metrics HTTP/1.0\r\n\r\n").value_or("");
+  EXPECT_NE(next.find("scrape_up 1"), std::string::npos) << "next scrape answered";
+}
+
+TEST(TelemetryHttp, SilentPeerDelaysNextScraperAtMostTheExchangeDeadline) {
+  TelemetryHttpServer server{0, fixed_responder()};
+  TcpStream silent = connect_scraper(server.port());
+  std::this_thread::sleep_for(50ms);  // let the serving thread take it first
+  const auto start = std::chrono::steady_clock::now();
+  const std::string answered =
+      scrape(server.port(), "GET /metrics HTTP/1.0\r\n\r\n").value_or("");
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(answered.find("scrape_up 1"), std::string::npos);
+  EXPECT_LT(waited, TelemetryHttpServer::kExchangeDeadline + 2000ms);
+  // The silent peer itself timed out and was closed unanswered.
+  EXPECT_EQ(read_until_close(silent), std::optional<std::string>{""});
+}
+
+// Seeded mutation fuzz of the one HTTP parser that reads outside bytes:
+// bit-flips, truncations and splices of valid request lines, against both a
+// roomy and a tiny request cap. Nothing may throw, and Ready must come only
+// with a non-empty, space-free path from a line that fits the cap.
+TEST(HttpParserFuzz, MutatedRequestLinesNeverThrowAndRespectTheCap) {
+  const std::vector<std::string> seeds = {
+      "GET /metrics HTTP/1.0\r\n",
+      "HEAD /healthz HTTP/1.1\r\n\r\n",
+      "GET /metrics.json HTTP/1.0\r\nHost: localhost\r\n\r\n",
+      "GET / HTTP/1.0\n",
+  };
+  const obs::HttpResponder responder = fixed_responder();
+  util::Rng rng{0xF022ED};
+  constexpr int kIterations = 100000;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    std::string input = seeds[rng.uniform_int(seeds.size())];
+    const std::uint64_t mutations = 1 + rng.uniform_int(4);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      switch (rng.uniform_int(4)) {
+        case 0:  // bit-flip
+          if (!input.empty()) {
+            input[rng.uniform_int(input.size())] ^=
+                static_cast<char>(1u << rng.uniform_int(8));
+          }
+          break;
+        case 1:  // truncation
+          input.resize(rng.uniform_int(input.size() + 1));
+          break;
+        case 2: {  // splice: this prefix + another seed's suffix
+          const std::string& other = seeds[rng.uniform_int(seeds.size())];
+          input = input.substr(0, rng.uniform_int(input.size() + 1)) +
+                  other.substr(rng.uniform_int(other.size() + 1));
+          break;
+        }
+        default:  // repeat a slice, pushing lines toward the tiny cap
+          if (!input.empty()) {
+            const std::size_t at = rng.uniform_int(input.size());
+            input.insert(at, input.substr(at, 1 + rng.uniform_int(16)));
+          }
+          break;
+      }
+    }
+    const std::size_t cap = rng.bernoulli(0.5) ? obs::kMaxHttpRequestBytes
+                                               : 1 + rng.uniform_int(64);
+    obs::HttpRequest request;
+    ASSERT_NO_THROW(request = obs::parse_http_request(bytes_of(input), cap)) << input;
+    ASSERT_NO_THROW((void)obs::http_response_for(responder, request)) << input;
+    if (request.status != obs::HttpParseStatus::Ready) continue;
+    ASSERT_FALSE(request.path.empty()) << input;
+    ASSERT_EQ(request.path.find(' '), std::string::npos) << input;
+    const std::size_t line_end = input.find('\n');
+    ASSERT_NE(line_end, std::string::npos) << input;
+    ASSERT_LT(line_end, cap) << "line over the cap parsed Ready: " << input;
+  }
 }
 
 // ---- Full distributed federations over loopback --------------------------------

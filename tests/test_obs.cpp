@@ -21,8 +21,6 @@
 #include <vector>
 
 #include "core/runner.hpp"
-#include "net/socket.hpp"
-#include "net/telemetry_http.hpp"
 #include "obs/exporter.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/metrics.hpp"
@@ -603,38 +601,37 @@ std::span<const std::byte> bytes_of(std::string_view text) {
   return std::as_bytes(std::span{text.data(), text.size()});
 }
 
-TEST_F(ObsTest, LooksLikeHttpAcceptsPrefixesAndRejectsFrames) {
-  EXPECT_TRUE(looks_like_http(bytes_of("G")));
-  EXPECT_TRUE(looks_like_http(bytes_of("GET /")));
-  EXPECT_TRUE(looks_like_http(bytes_of("HEAD /metrics")));
-  EXPECT_FALSE(looks_like_http(bytes_of("MNGF")));  // frame magic on the wire
-  EXPECT_FALSE(looks_like_http(bytes_of("POST /")));
-  EXPECT_FALSE(looks_like_http(bytes_of("GEX")));
-}
-
 TEST_F(ObsTest, ParseHttpRequestLifecycle) {
   EXPECT_EQ(parse_http_request(bytes_of("GET /metr")).status,
             HttpParseStatus::NeedMore);
   const HttpRequest ready = parse_http_request(bytes_of("GET /metrics HTTP/1.0\r\n\r\n"));
   EXPECT_EQ(ready.status, HttpParseStatus::Ready);
+  EXPECT_EQ(ready.method, HttpMethod::Get);
   EXPECT_EQ(ready.path, "/metrics");
+  EXPECT_EQ(parse_http_request(bytes_of("HEAD /healthz HTTP/1.1\r\n")).method,
+            HttpMethod::Head);
   EXPECT_EQ(parse_http_request(bytes_of("PUT /x HTTP/1.0\r\n\r\n")).status,
             HttpParseStatus::Bad);
   // Oversized preamble with no request-line terminator: Bad, not NeedMore.
   const std::string oversized = "GET /" + std::string(kMaxHttpRequestBytes, 'a');
   EXPECT_EQ(parse_http_request(bytes_of(oversized)).status, HttpParseStatus::Bad);
+  // The cap holds when the terminator has already arrived, too.
+  const std::string over_cap_line = "GET /" + std::string(8192, 'a') + " HTTP/1.0\r\n";
+  EXPECT_EQ(parse_http_request(bytes_of(over_cap_line)).status, HttpParseStatus::Bad);
 }
 
 TEST_F(ObsTest, HttpResponseForRoutesEndpoints) {
   HttpResponder responder;
   responder.metrics_text = [] { return std::string{"up 1\n"}; };
-  const std::string ok = http_response_for(responder, "/metrics");
+  const auto respond = [&](std::string_view request_line) {
+    return http_response_for(responder, parse_http_request(bytes_of(request_line)));
+  };
+  const std::string ok = respond("GET /metrics HTTP/1.0\r\n");
   EXPECT_NE(ok.find("200"), std::string::npos);
   EXPECT_NE(ok.find("up 1"), std::string::npos);
-  EXPECT_NE(http_response_for(responder, "/nope").find("404"), std::string::npos);
+  EXPECT_NE(respond("GET /nope HTTP/1.0\r\n").find("404"), std::string::npos);
   // /metrics.json has no callback wired: 503, not a crash.
-  EXPECT_NE(http_response_for(responder, "/metrics.json").find("503"),
-            std::string::npos);
+  EXPECT_NE(respond("GET /metrics.json HTTP/1.0\r\n").find("503"), std::string::npos);
 }
 
 TEST_F(ObsTest, HealthzJsonReportsProgressCounters) {
@@ -651,36 +648,6 @@ TEST_F(ObsTest, HealthzJsonReportsProgressCounters) {
   // Empty degraded-counter name omits the field entirely.
   EXPECT_EQ(healthz_json("healthz_rounds_total", "").find("degraded"),
             std::string::npos);
-}
-
-TEST_F(ObsTest, TelemetryHttpServerAnswersLiveScrapes) {
-  Counter marker = Registry::global().counter("live_scrape_marker_total");
-  marker.add(9);
-  net::TelemetryHttpServer server{
-      0, net::make_registry_responder("live_scrape_marker_total", "")};
-  ASSERT_NE(server.port(), 0) << "ephemeral bind must report the real port";
-
-  const auto scrape = [&](const std::string& path) {
-    net::TcpStream stream = net::TcpStream::connect("127.0.0.1", server.port());
-    stream.set_receive_timeout(std::chrono::milliseconds{5000});
-    const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-    stream.send_all(std::as_bytes(std::span{request.data(), request.size()}));
-    std::string response;
-    std::byte chunk[2048];
-    std::size_t transferred = 0;
-    while (stream.read_some(chunk, transferred) == net::IoStatus::Ready) {
-      response.append(reinterpret_cast<const char*>(chunk), transferred);
-    }
-    return response;
-  };
-
-  const std::string metrics = scrape("/metrics");
-  EXPECT_NE(metrics.find("200"), std::string::npos);
-  EXPECT_NE(metrics.find("live_scrape_marker_total 9"), std::string::npos);
-  const std::string health = scrape("/healthz");
-  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(health.find("\"rounds_completed\":9"), std::string::npos);
-  EXPECT_NE(scrape("/nope").find("404"), std::string::npos);
 }
 
 }  // namespace

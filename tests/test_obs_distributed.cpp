@@ -1,8 +1,8 @@
 // Federation-wide live telemetry, pinned end to end (CTest label: net):
 //
-// One 2-shard socket federation must simultaneously (a) answer GET /metrics
-// and GET /healthz live mid-run — on the root's standalone listener AND on a
-// shard data port, where the reactor auto-detects HTTP among MNGF frames —
+// One 2-shard socket federation must simultaneously (a) answer GET /healthz,
+// /metrics and /metrics.json live mid-run on the root's listener, the one
+// /metrics port of the process, with the shards' {shard="i"} series on it,
 // (b) accept a crafted TelemetryReport frame from a foreign process (here: a
 // raw TcpStream posing as one) and fold its spans into the root trace under
 // a foreign pid lane, surviving a bad-CRC report on the same link, and (c)
@@ -161,8 +161,8 @@ TEST_F(ObsDistributedFixture, TwoTierFederationServesScrapesAndCorrelatesTrace) 
   config.rounds = 3;
   config.seed = kSeed;
 
-  // Shard exposition ports derive from http_port (+1+i), so an ephemeral
-  // root port is impossible; probe a small pid-salted range instead.
+  // http_port 0 turns exposition off, so an ephemeral port is impossible;
+  // probe pid-salted candidate ports instead.
   std::unique_ptr<net::HierarchicalServer> server;
 #ifdef __unix__
   std::uint16_t base = static_cast<std::uint16_t>(21000 + (::getpid() % 17000));
@@ -170,16 +170,16 @@ TEST_F(ObsDistributedFixture, TwoTierFederationServesScrapesAndCorrelatesTrace) 
   std::uint16_t base = 23451;
 #endif
   for (int attempt = 0; attempt < 8 && !server; ++attempt) {
-    config.http_port = static_cast<std::uint16_t>(base + attempt * 16);
+    config.http_port = static_cast<std::uint16_t>(base + attempt);
     try {
       server = std::make_unique<net::HierarchicalServer>(
           config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
           models::ClassifierArch::Mlp, geometry);
     } catch (const std::exception&) {
-      // Port collision — try the next candidate block.
+      // Port collision — try the next candidate.
     }
   }
-  ASSERT_TRUE(server) << "could not bind a telemetry port block";
+  ASSERT_TRUE(server) << "could not bind a telemetry port";
 
   const std::uint16_t shard0_data_port = server->shard_port(0);
   auto& registry = obs::Registry::global();
@@ -189,7 +189,7 @@ TEST_F(ObsDistributedFixture, TwoTierFederationServesScrapesAndCorrelatesTrace) 
   // Mid-run liveness probes + the crafted-relay exchange run concurrently
   // with the federation; results are read only after join().
   std::string root_healthz;
-  std::string shard_data_metrics;
+  std::string root_metrics;
   std::string root_metrics_json;
   std::string root_404;
   std::atomic<bool> relay_counted{false};
@@ -203,8 +203,8 @@ TEST_F(ObsDistributedFixture, TwoTierFederationServesScrapesAndCorrelatesTrace) 
 
   std::thread probe{[&] {
     root_healthz = probe_until(config.http_port, "/healthz", "\"status\":\"ok\"");
-    shard_data_metrics =
-        probe_until(shard0_data_port, "/metrics", "net_shard_rounds_total");
+    root_metrics = probe_until(config.http_port, "/metrics",
+                               "net_shard_rounds_total{shard=\"0\"}");
     root_metrics_json = probe_until(config.http_port, "/metrics.json",
                                     "net_shard_telemetry_reports_total");
     root_404 = http_get(config.http_port, "/nope");
@@ -258,11 +258,11 @@ TEST_F(ObsDistributedFixture, TwoTierFederationServesScrapesAndCorrelatesTrace) 
   probe.join();
   session.reset();  // flush + write the merged trace
 
-  // (a) Live exposition answered mid-run on both serving paths.
+  // (a) Live exposition answered mid-run on the root's listener.
   EXPECT_NE(root_healthz.find("\"rounds_completed\""), std::string::npos)
       << "root /healthz never came up: " << root_healthz;
-  EXPECT_NE(shard_data_metrics.find("net_shard_rounds_total"), std::string::npos)
-      << "shard data port never answered /metrics";
+  EXPECT_NE(root_metrics.find("net_shard_rounds_total{shard=\"0\"}"), std::string::npos)
+      << "root /metrics never showed shard 0's series";
   EXPECT_NE(root_metrics_json.find("net_shard_telemetry_reports_total"),
             std::string::npos)
       << "root /metrics.json never answered";

@@ -294,122 +294,9 @@ TEST_F(ReactorFixture, ThousandSocketSmoke) {
   EXPECT_EQ(reactor->connection_count(), 0u);
 }
 
-// ---- HTTP scrape auto-detection on the data port ------------------------------
-
-obs::HttpResponder scrape_responder() {
-  obs::HttpResponder responder;
-  responder.metrics_text = [] { return std::string{"scrape_up 1\n"}; };
-  responder.healthz = [] { return std::string{"{\"status\":\"ok\"}\n"}; };
-  return responder;
-}
-
-struct HttpReactorFixture : ReactorFixture {
-  void SetUp() override {
-    ReactorFixture::SetUp();
-    reactor->set_http_responder(scrape_responder());
-  }
-
-  /// Pump the reactor while draining `stream` until the peer closes it
-  /// (HTTP/1.0 close-after-response) or the deadline passes.
-  std::string pump_response(TcpStream& stream,
-                            std::chrono::milliseconds deadline = 20000ms) {
-    stream.set_nonblocking(true);
-    std::string response;
-    const auto until = std::chrono::steady_clock::now() + deadline;
-    while (std::chrono::steady_clock::now() < until) {
-      (void)reactor->poll_once(5ms);
-      std::byte chunk[2048];
-      std::size_t transferred = 0;
-      const IoStatus status = stream.read_some(chunk, transferred);
-      if (status == IoStatus::Ready) {
-        response.append(reinterpret_cast<const char*>(chunk), transferred);
-      } else if (status == IoStatus::Closed) {
-        return response;  // server closed after the flush, as HTTP/1.0 must
-      }
-    }
-    ADD_FAILURE() << "server never closed the scrape connection";
-    return response;
-  }
-
-  void send_text(TcpStream& stream, std::string_view text) {
-    stream.send_all(std::as_bytes(std::span{text.data(), text.size()}));
-  }
-};
-
-TEST_F(HttpReactorFixture, ScrapeOnDataPortAnswersAndCloses) {
-  TcpStream scraper = connect_client();
-  send_text(scraper, "GET /metrics HTTP/1.0\r\n\r\n");
-  const std::string response = pump_response(scraper);
-  EXPECT_NE(response.find("200"), std::string::npos);
-  EXPECT_NE(response.find("scrape_up 1"), std::string::npos);
-  ASSERT_TRUE(pump_until([&] { return closed.size() == 1; }));
-  EXPECT_EQ(reactor->connection_count(), 0u);
-  EXPECT_TRUE(messages.empty()) << "a scrape is not framed traffic";
-}
-
-TEST_F(HttpReactorFixture, SlowScraperTricklingBytesStillGetsAnswered) {
-  TcpStream scraper = connect_client();
-  // One byte at a time across poll iterations: the detector must commit to
-  // HTTP on a matching prefix and keep accumulating through NeedMore. The
-  // response fires as soon as the request LINE is complete, so trickle
-  // exactly that much — more bytes would race the server's close.
-  const std::string request = "GET /healthz HTTP/1.0\r\n";
-  for (const char byte : request) {
-    send_text(scraper, {&byte, 1});
-    (void)reactor->poll_once(5ms);
-  }
-  const std::string response = pump_response(scraper);
-  EXPECT_NE(response.find("200"), std::string::npos);
-  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
-}
-
-TEST_F(HttpReactorFixture, ScrapeMidFrameDoesNotDisturbFramedTraffic) {
-  echo = true;
-  TcpStream framed = connect_client();
-  // Park half a frame on the framed connection...
-  const std::vector<std::byte> frame = encode_frame(hello_message(7));
-  framed.send_all(std::span{frame.data(), frame.size() / 2});
-  (void)reactor->poll_once(5ms);
-  // ...answer a full scrape in the middle...
-  TcpStream scraper = connect_client();
-  send_text(scraper, "GET /metrics HTTP/1.0\r\n\r\n");
-  EXPECT_NE(pump_response(scraper).find("scrape_up 1"), std::string::npos);
-  // ...then finish the frame: it must still decode and echo.
-  framed.send_all(std::span{frame.data() + frame.size() / 2,
-                            frame.size() - frame.size() / 2});
-  ASSERT_TRUE(pump_until([&] { return messages.size() == 1; }));
-  EXPECT_EQ(messages[0].second.type, MessageType::Hello);
-  const Message reply = framed.receive_message();
-  EXPECT_EQ(reply.type, MessageType::Hello);
-}
-
-TEST_F(HttpReactorFixture, OversizedRequestIsDroppedWithoutAnswer) {
-  TcpStream framed = connect_client();
-  TcpStream scraper = connect_client();
-  // A matching method prefix followed by 8 KiB of junk and no terminator:
-  // parse must report Bad at the size cap and the reactor must drop only
-  // this connection.
-  send_text(scraper, "GET /" + std::string(8192, 'a'));
-  ASSERT_TRUE(pump_until([&] { return closed.size() == 1; }));
-  EXPECT_EQ(reactor->connection_count(), 1u) << "framed peer survives";
-  const std::vector<std::byte> frame = encode_frame(hello_message(3));
-  framed.send_all(std::span{frame.data(), frame.size()});
-  ASSERT_TRUE(pump_until([&] { return messages.size() == 1; }));
-}
-
-TEST_F(HttpReactorFixture, NonHttpGarbageStillDiesByFrameRules) {
-  TcpStream garbage = connect_client();
-  // First byte rules out GET/HEAD, so this stays on the frame path and dies
-  // on bad magic once a header's worth of bytes arrived.
-  send_text(garbage, std::string(64, 'X'));
-  ASSERT_TRUE(pump_until([&] { return closed.size() == 1; }));
-  ASSERT_EQ(decode_errors.size(), 1u);
-  EXPECT_EQ(decode_errors[0], DecodeErrorCode::BadMagic);
-}
-
 TEST_F(ReactorFixture, HttpRequestWithoutResponderDiesByFrameRules) {
-  // No responder installed: "GET " is not sniffed, accumulates to a frame
-  // header, and fails on magic — the pre-existing contract is unchanged.
+  // The data port speaks frames only: "GET " accumulates to a frame header
+  // and fails on magic, like any other non-frame bytes.
   TcpStream scraper = connect_client();
   const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
   scraper.send_all(std::as_bytes(std::span{request.data(), request.size()}));
