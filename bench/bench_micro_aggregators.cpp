@@ -19,15 +19,16 @@ namespace {
 
 using namespace fedguard;
 
-std::vector<defenses::ClientUpdate> make_updates(std::size_t count, std::size_t dim,
-                                                 std::uint64_t seed) {
+/// One round's cohort as the servers hand it over: `count` uniform rows in
+/// an arena.
+defenses::UpdateMatrix make_updates(std::size_t count, std::size_t dim, std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<defenses::ClientUpdate> updates(count);
+  defenses::UpdateMatrix updates;
+  updates.reset(count, dim);
   for (std::size_t k = 0; k < count; ++k) {
-    updates[k].client_id = static_cast<int>(k);
-    updates[k].num_samples = 100;
-    updates[k].psi.resize(dim);
-    for (auto& v : updates[k].psi) v = rng.uniform_float(-1.0f, 1.0f);
+    updates.meta(k).client_id = static_cast<int>(k);
+    updates.meta(k).num_samples = 100;
+    for (auto& v : updates.psi(k)) v = rng.uniform_float(-1.0f, 1.0f);
   }
   return updates;
 }
@@ -36,13 +37,16 @@ template <typename Strategy, typename... Args>
 void run_aggregator(benchmark::State& state, Args&&... args) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto dim = static_cast<std::size_t>(state.range(1));
-  const auto updates = make_updates(count, dim, 42);
+  const defenses::UpdateMatrix updates = make_updates(count, dim, 42);
   const std::vector<float> global(dim, 0.0f);
   Strategy strategy{std::forward<Args>(args)...};
   defenses::AggregationContext context;
   context.global_parameters = global;
+  defenses::AggregationResult result;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(strategy.aggregate(context, updates));
+    strategy.aggregate_into(context, defenses::UpdateView{updates}, result);
+    benchmark::DoNotOptimize(result.parameters.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(count * dim));

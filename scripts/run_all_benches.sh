@@ -3,8 +3,8 @@
 # The micro benches additionally emit machine-readable kernel numbers to
 # BENCH_kernels.json (op, shape, threads, ns/iter, GFLOP/s) for tracking the
 # blocked/parallel tensor kernels across commits, and the round-pipeline
-# bench emits BENCH_update_pipeline.json (zero-copy arena vs legacy-ownership
-# round costs, Bulyan elimination old vs new), and the wire bench emits
+# bench emits BENCH_update_pipeline.json (server-side round cost through the
+# round arena per strategy, Bulyan elimination old vs new), and the wire bench emits
 # BENCH_wire.json (ψ codec encode/decode µs and bytes/round for fp32/q8/fp16
 # at the paper's m=50, d≈100k traffic shape).
 # Usage: scripts/run_all_benches.sh [build-dir] (default: build)

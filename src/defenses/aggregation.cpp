@@ -9,22 +9,6 @@
 
 namespace fedguard::defenses {
 
-std::size_t validate_updates(std::span<const ClientUpdate> updates) {
-  if (updates.empty()) {
-    throw std::invalid_argument{"aggregation: no updates"};
-  }
-  const std::size_t dim = updates.front().psi.size();
-  if (dim == 0) throw std::invalid_argument{"aggregation: empty parameter vector"};
-  for (const auto& update : updates) {
-    if (update.psi.size() != dim) {
-      throw std::invalid_argument{"aggregation: parameter dimension mismatch"};
-    }
-    FEDGUARD_CHECK_FINITE(update.psi, "aggregation: non-finite psi from client " +
-                                          std::to_string(update.client_id));
-  }
-  return dim;
-}
-
 std::size_t validate_view(const UpdateView& updates) {
   if (updates.count() == 0) {
     throw std::invalid_argument{"aggregation: no updates"};
@@ -41,23 +25,6 @@ std::size_t validate_view(const UpdateView& updates) {
   return dim;
 }
 
-void fill_update_matrix(UpdateMatrix& arena, std::span<const ClientUpdate> updates) {
-  const std::size_t dim = updates.empty() ? 0 : updates.front().psi.size();
-  std::size_t theta_dim = 0;
-  for (const auto& update : updates) theta_dim = std::max(theta_dim, update.theta.size());
-  arena.reset(updates.size(), dim, theta_dim);
-  for (std::size_t k = 0; k < updates.size(); ++k) {
-    const ClientUpdate& update = updates[k];
-    UpdateRow row = arena.row(k);
-    std::copy(update.psi.begin(), update.psi.end(), row.psi.begin());
-    std::copy(update.theta.begin(), update.theta.end(), row.theta.begin());
-    row.meta->client_id = update.client_id;
-    row.meta->num_samples = update.num_samples;
-    row.meta->truly_malicious = update.truly_malicious;
-    row.meta->theta_count = update.theta.size();
-  }
-}
-
 void AggregationStrategy::aggregate_into(const AggregationContext& context,
                                          const UpdateView& updates, AggregationResult& out) {
   // NVI choke point: every strategy's spans nest under one `agg.<name>`
@@ -70,13 +37,6 @@ void AggregationStrategy::aggregate_into(const AggregationContext& context,
   }
   out.clear();
   do_aggregate(context, updates, out);
-}
-
-AggregationResult AggregationStrategy::aggregate(const AggregationContext& context,
-                                                 const UpdateView& updates) {
-  AggregationResult out;
-  aggregate_into(context, updates, out);
-  return out;
 }
 
 void fold_exact_update(ShardPartial& partial, std::span<const float> psi,
@@ -230,15 +190,6 @@ void AggregationStrategy::do_merge_partials(const AggregationContext& /*context*
   }
 }
 
-AggregationResult AggregationStrategy::aggregate(const AggregationContext& context,
-                                                 std::span<const ClientUpdate> updates) {
-  (void)validate_updates(updates);  // ragged dims must throw before the copy below
-  fill_update_matrix(compat_arena_, updates);
-  AggregationResult out;
-  aggregate_into(context, UpdateView{compat_arena_}, out);
-  return out;
-}
-
 void weighted_mean_into(const UpdateView& updates, std::vector<double>& accumulator,
                         std::vector<float>& out) {
   if (updates.count() == 0) throw std::invalid_argument{"aggregation: no updates"};
@@ -296,41 +247,20 @@ std::vector<float> mean_of(const UpdateView& updates, std::span<const std::size_
   return out;
 }
 
-namespace {
-
-template <typename RejectedFn>
-DetectionStats tally_detection(std::size_t count, RejectedFn&& info) {
+DetectionStats compute_detection_stats(const UpdateView& updates,
+                                       const AggregationResult& result) {
+  const std::vector<int>& rejected = result.rejected_clients;
   DetectionStats stats;
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto [malicious, was_rejected] = info(k);
-    if (malicious && was_rejected) ++stats.true_positives;
-    else if (malicious) ++stats.false_negatives;
+  for (std::size_t k = 0; k < updates.count(); ++k) {
+    const UpdateMeta& meta = updates.meta(k);
+    const bool was_rejected =
+        std::find(rejected.begin(), rejected.end(), meta.client_id) != rejected.end();
+    if (meta.truly_malicious && was_rejected) ++stats.true_positives;
+    else if (meta.truly_malicious) ++stats.false_negatives;
     else if (was_rejected) ++stats.false_positives;
     else ++stats.true_negatives;
   }
   return stats;
-}
-
-bool contains_id(const std::vector<int>& ids, int id) {
-  return std::find(ids.begin(), ids.end(), id) != ids.end();
-}
-
-}  // namespace
-
-DetectionStats compute_detection_stats(std::span<const ClientUpdate> updates,
-                                       const AggregationResult& result) {
-  return tally_detection(updates.size(), [&](std::size_t k) {
-    return std::pair{updates[k].truly_malicious,
-                     contains_id(result.rejected_clients, updates[k].client_id)};
-  });
-}
-
-DetectionStats compute_detection_stats(const UpdateView& updates,
-                                       const AggregationResult& result) {
-  return tally_detection(updates.count(), [&](std::size_t k) {
-    const UpdateMeta& meta = updates.meta(k);
-    return std::pair{meta.truly_malicious, contains_id(result.rejected_clients, meta.client_id)};
-  });
 }
 
 }  // namespace fedguard::defenses

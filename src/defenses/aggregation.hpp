@@ -9,8 +9,7 @@
 //
 // Strategies implement the private do_aggregate() hook; the public entry
 // points validate the view (dimension + NaN/Inf choke point) exactly once
-// before dispatching. An owned-ClientUpdate overload is kept for tests and
-// examples — it copies into an internal arena and runs the same view path.
+// before dispatching. An UpdateView is the only input a strategy accepts.
 
 #include <cstdint>
 #include <memory>
@@ -21,20 +20,6 @@
 #include "defenses/update_matrix.hpp"
 
 namespace fedguard::defenses {
-
-/// One client's upload for a round, in owned form (compatibility surface and
-/// the remote client's wire representation). `psi` is the flat classifier
-/// parameter vector after local training (possibly poisoned); `theta` is the
-/// flat CVAE decoder parameter vector (only populated when the strategy
-/// requests decoders, i.e. FedGuard). The zero-copy round loop stores the
-/// same fields as arena rows + UpdateMeta instead.
-struct ClientUpdate {
-  int client_id = -1;
-  std::vector<float> psi;
-  std::vector<float> theta;
-  std::size_t num_samples = 0;
-  bool truly_malicious = false;  // ground truth, for detection metrics only
-};
 
 struct AggregationContext {
   std::size_t round = 0;
@@ -128,15 +113,6 @@ class AggregationStrategy {
   void aggregate_into(const AggregationContext& context, const UpdateView& updates,
                       AggregationResult& out);
 
-  [[nodiscard]] AggregationResult aggregate(const AggregationContext& context,
-                                            const UpdateView& updates);
-
-  /// Compatibility entry point over owned updates: validates them (exact
-  /// legacy error behaviour, including ragged dimensions), copies into an
-  /// internal arena, and runs the view path.
-  [[nodiscard]] AggregationResult aggregate(const AggregationContext& context,
-                                            std::span<const ClientUpdate> updates);
-
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// True if clients must also upload their CVAE decoder parameters
@@ -191,7 +167,6 @@ class AggregationStrategy {
   virtual void do_aggregate(const AggregationContext& context, const UpdateView& updates,
                             AggregationResult& out) = 0;
 
-  UpdateMatrix compat_arena_;  // backs the span<ClientUpdate> overload
   // Round-persistent scratch for the default partial/merge bodies.
   AggregationResult partial_scratch_;
   std::vector<double> merge_accumulator_;
@@ -213,21 +188,11 @@ void mean_of_into(const UpdateView& updates, std::span<const std::size_t> select
 [[nodiscard]] std::vector<float> mean_of(const UpdateView& updates,
                                          std::span<const std::size_t> selected);
 
-/// Throws std::invalid_argument unless all updates exist and share one
-/// parameter dimension; returns that dimension. (Owned-update form, used by
-/// the compatibility aggregate overload.)
-std::size_t validate_updates(std::span<const ClientUpdate> updates);
-
-/// View form of validate_updates: non-empty, non-zero dimension, and (in
-/// FEDGUARD_ASSERTS builds) every row finite. This is the single boundary at
-/// which a NaN/Inf-poisoned upload is rejected before it can reach an
-/// accumulator.
+/// Throws std::invalid_argument unless the view is non-empty with a non-zero
+/// dimension, and (in FEDGUARD_ASSERTS builds) util::CheckError unless every
+/// row is finite; returns the dimension. This is the single boundary at which
+/// a NaN/Inf-poisoned upload is rejected before it can reach an accumulator.
 std::size_t validate_view(const UpdateView& updates);
-
-/// Copy owned updates into `arena` (psi + theta planes + metadata). The theta
-/// plane is sized to the largest theta present; per-row actual lengths land
-/// in UpdateMeta::theta_count.
-void fill_update_matrix(UpdateMatrix& arena, std::span<const ClientUpdate> updates);
 
 /// Detection quality of a round's accept/reject split against ground truth.
 struct DetectionStats {
@@ -236,8 +201,6 @@ struct DetectionStats {
   std::size_t true_negatives = 0;   // benign accepted
   std::size_t false_negatives = 0;  // malicious accepted
 };
-[[nodiscard]] DetectionStats compute_detection_stats(std::span<const ClientUpdate> updates,
-                                                     const AggregationResult& result);
 [[nodiscard]] DetectionStats compute_detection_stats(const UpdateView& updates,
                                                      const AggregationResult& result);
 

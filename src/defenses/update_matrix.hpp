@@ -18,6 +18,10 @@
 // Selections are index indirections, never data copies: Bulyan's elimination
 // loop and FedGuard's kept-set operators filter indices instead of
 // re-concatenating sub-matrices.
+//
+// An arena row is the only in-process form of an upload. A remote client's
+// upload is owned only as the socket reply payload it encodes
+// (net::WireUpdate), which the shard decodes straight into its arena row.
 
 #include <cstddef>
 #include <span>
@@ -25,7 +29,8 @@
 
 namespace fedguard::defenses {
 
-/// Per-row metadata mirroring the owned ClientUpdate fields.
+/// Per-row metadata: who uploaded the row, its FedAvg weight, the ground
+/// truth, and the filled θ length.
 struct UpdateMeta {
   int client_id = -1;
   std::size_t num_samples = 0;

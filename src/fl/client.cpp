@@ -102,22 +102,4 @@ void Client::run_round_into(std::span<const float> global_parameters, std::size_
   }
 }
 
-defenses::ClientUpdate Client::run_round(std::span<const float> global_parameters,
-                                         std::size_t round) {
-  // Compat wrapper over the zero-copy path (remote clients and tests); the
-  // CVAE must be trained first so the theta buffer can be sized.
-  ensure_cvae_trained();
-
-  defenses::ClientUpdate update;
-  update.psi.resize(global_parameters.size());
-  update.theta.resize(cached_theta_.size());
-  defenses::UpdateMeta meta;
-  run_round_into(global_parameters, round,
-                 defenses::UpdateRow{update.psi, update.theta, &meta});
-  update.client_id = meta.client_id;
-  update.num_samples = meta.num_samples;
-  update.truly_malicious = meta.truly_malicious;
-  return update;
-}
-
 }  // namespace fedguard::fl

@@ -34,6 +34,13 @@ std::array<std::uint32_t, 256> make_crc_table() noexcept {
   return table;
 }
 
+// Smallest on-wire TelemetryReport entries: an event is three u64, two u32
+// and two empty strings (u64 length each); a counter delta is an empty name
+// and a u64.
+constexpr std::size_t kMinTelemetryEventBytes =
+    5 * sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t);
+constexpr std::size_t kMinCounterDeltaBytes = 2 * sizeof(std::uint64_t);
+
 util::WireCodec read_codec_tag(util::ByteReader& reader) {
   const std::uint32_t tag = reader.read_u32();
   if (tag > static_cast<std::uint32_t>(util::WireCodec::Fp16)) {
@@ -208,6 +215,12 @@ RoundReply decode_round_reply(std::span<const std::byte> payload) {
     reply.update.truly_malicious = reader.read_u32() != 0;
     reply.psi_codec = read_codec_tag(reader);
     const auto psi_count = static_cast<std::size_t>(reader.read_u64());
+    // Every codec spends at least one byte per element, so a count beyond
+    // the bytes left is a lie; reject it before it sizes an allocation.
+    if (psi_count > reader.remaining()) {
+      throw DecodeError{DecodeErrorCode::Truncated,
+                        "decode_round_reply: psi count exceeds payload"};
+    }
     reply.update.psi.resize(psi_count);
     read_psi_span(reader, reply.psi_codec, reply.update.psi);
     const auto theta_count = static_cast<std::size_t>(reader.read_u64());
@@ -287,9 +300,9 @@ TelemetryFrame decode_telemetry_report(std::span<const std::byte> payload) {
     report.round = reader.read_u64();
     report.trace_id = reader.read_u64();
     const auto event_count = static_cast<std::size_t>(reader.read_u64());
-    // A declared count must at least fit in the payload (each event is ≥ 44
-    // bytes on the wire) — rejects allocation bombs before the reserve.
-    if (event_count > payload.size()) {
+    // A declared count must fit in what is left — rejects allocation bombs
+    // before the reserve.
+    if (event_count > reader.remaining() / kMinTelemetryEventBytes) {
       throw DecodeError{DecodeErrorCode::Truncated,
                         "decode_telemetry_report: event count exceeds payload"};
     }
@@ -306,7 +319,7 @@ TelemetryFrame decode_telemetry_report(std::span<const std::byte> payload) {
       report.events.push_back(std::move(event));
     }
     const auto delta_count = static_cast<std::size_t>(reader.read_u64());
-    if (delta_count > payload.size()) {
+    if (delta_count > reader.remaining() / kMinCounterDeltaBytes) {
       throw DecodeError{DecodeErrorCode::Truncated,
                         "decode_telemetry_report: delta count exceeds payload"};
     }

@@ -9,7 +9,7 @@
 //
 // Round-trip per federated round:
 //   server -> client : RoundRequest { round, server_lr-applied ψ0, want_theta }
-//   client -> server : RoundReply   { round, ClientUpdate }
+//   client -> server : RoundReply   { round, WireUpdate }
 //   server -> client : Shutdown     (at the end of the run)
 //
 // The reply carries the round number it answers so the server can discard
@@ -27,7 +27,7 @@
 #include <utility>
 #include <vector>
 
-#include "defenses/aggregation.hpp"
+#include "defenses/update_matrix.hpp"
 #include "util/serialize.hpp"
 
 namespace fedguard::net {
@@ -122,6 +122,20 @@ struct RoundRequest {
 [[nodiscard]] std::vector<std::byte> encode_round_request(const RoundRequest& request);
 [[nodiscard]] RoundRequest decode_round_request(std::span<const std::byte> payload);
 
+/// One client's upload as it travels in a RoundReply: the only owned form of
+/// an upload in the code base. A remote client trains straight into `psi` /
+/// `theta` (Client::run_round_into over these buffers, kept across rounds);
+/// the shard decodes the payload straight into an arena row
+/// (decode_round_reply_into), so no owned copy exists server-side. `theta`
+/// is empty unless the request asked for the decoder (FedGuard).
+struct WireUpdate {
+  int client_id = -1;
+  std::vector<float> psi;
+  std::vector<float> theta;
+  std::size_t num_samples = 0;
+  bool truly_malicious = false;  // ground truth, for detection metrics only
+};
+
 /// A client's answer to one RoundRequest, tagged with the round it answers.
 struct RoundReply {
   std::size_t round = 0;
@@ -134,7 +148,7 @@ struct RoundReply {
   // relative to ψ, and feeds the defense's decoder reconstruction directly.
   util::WireCodec psi_codec = util::WireCodec::Fp32;
   std::size_t psi_chunk = util::kDefaultQ8ChunkSize;
-  defenses::ClientUpdate update;
+  WireUpdate update;
 };
 [[nodiscard]] std::vector<std::byte> encode_round_reply(const RoundReply& reply);
 [[nodiscard]] RoundReply decode_round_reply(std::span<const std::byte> payload);

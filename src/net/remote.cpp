@@ -91,6 +91,10 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
   };
 
   std::size_t rounds_served = 0;
+  // One reply for the client's whole run: each round trains straight into its
+  // ψ/θ buffers, so steady-state rounds reuse them instead of building an upload.
+  RoundReply reply;
+  WireUpdate& upload = reply.update;
   for (;;) {
     Message message;
     try {
@@ -118,10 +122,20 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
       continue;
     }
 
-    defenses::ClientUpdate update =
-        client.run_round(request.global_parameters, request.round);
-    if (!request.want_decoder) update.theta.clear();  // don't ship unused θ
-    RoundReply reply;
+    upload.psi.resize(request.global_parameters.size());
+    if (!request.want_decoder) upload.theta.clear();  // don't ship unused θ
+    defenses::UpdateMeta meta;
+    client.run_round_into(request.global_parameters, request.round,
+                          defenses::UpdateRow{upload.psi, upload.theta, &meta});
+    if (request.want_decoder && upload.theta.size() != meta.theta_count) {
+      // θ's length is known only once the CVAE has trained, i.e. after the
+      // first decoder round's call above; later rounds write θ in place.
+      const std::span<const float> theta = client.decoder_parameters();
+      upload.theta.assign(theta.begin(), theta.end());
+    }
+    upload.client_id = meta.client_id;
+    upload.num_samples = meta.num_samples;
+    upload.truly_malicious = meta.truly_malicious;
     reply.round = request.round;
     reply.trace_id = request.trace_id;
     // Honor the server's ψ codec offer unless this client is configured as a
@@ -130,7 +144,6 @@ std::size_t run_remote_client(const std::string& host, std::uint16_t port,
     reply.psi_codec = options.force_fp32 ? util::WireCodec::Fp32 : request.psi_codec;
     reply.psi_chunk =
         request.psi_chunk == 0 ? util::kDefaultQ8ChunkSize : request.psi_chunk;
-    reply.update = std::move(update);
     const std::vector<std::byte> frame =
         encode_frame({MessageType::RoundReply, encode_round_reply(reply)});
 

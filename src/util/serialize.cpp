@@ -206,7 +206,9 @@ void ByteWriter::write_string(const std::string& value) {
 }
 
 void ByteReader::require(std::size_t count) const {
-  if (offset_ + count > data_.size()) {
+  // Compared against what is left, never as offset_ + count: a length read
+  // from the input near 2^64 would wrap that sum and pass.
+  if (count > data_.size() - offset_) {
     throw std::out_of_range{"ByteReader: buffer underrun"};
   }
 }
@@ -234,7 +236,10 @@ float ByteReader::read_f32() {
 
 std::vector<float> ByteReader::read_f32_vector(std::size_t count) {
   if (count == 0) return {};
-  require(count * sizeof(float));
+  // count * sizeof(float) wraps for counts >= 2^62; divide instead.
+  if (count > remaining() / sizeof(float)) {
+    throw std::out_of_range{"ByteReader: buffer underrun"};
+  }
   std::vector<float> out(count);
   std::memcpy(out.data(), data_.data() + offset_, count * sizeof(float));
   offset_ += count * sizeof(float);

@@ -12,18 +12,13 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
+#include "update_rows.hpp"
+
 namespace fedguard::defenses {
 namespace {
 
-ClientUpdate make_update(int id, std::vector<float> psi, std::size_t samples = 1,
-                         bool malicious = false) {
-  ClientUpdate update;
-  update.client_id = id;
-  update.psi = std::move(psi);
-  update.num_samples = samples;
-  update.truly_malicious = malicious;
-  return update;
-}
+using test::row;
+using Rows = std::vector<test::Row>;
 
 AggregationContext context_for(std::span<const float> global) {
   AggregationContext context;
@@ -34,11 +29,11 @@ AggregationContext context_for(std::span<const float> global) {
 const std::vector<float> kZeroGlobal3{0.0f, 0.0f, 0.0f};
 
 TEST(FedAvg, UnweightedMeanWithEqualSamples) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f, 2.0f}, 10));
-  updates.push_back(make_update(1, {3.0f, 4.0f}, 10));
+  Rows updates;
+  updates.push_back(row(0, {1.0f, 2.0f}, 10));
+  updates.push_back(row(1, {3.0f, 4.0f}, 10));
   FedAvgAggregator fedavg;
-  const auto result = fedavg.aggregate(context_for({}), updates);
+  const auto result = test::aggregate(fedavg, context_for({}), updates);
   EXPECT_FLOAT_EQ(result.parameters[0], 2.0f);
   EXPECT_FLOAT_EQ(result.parameters[1], 3.0f);
   EXPECT_EQ(result.accepted_clients.size(), 2u);
@@ -46,30 +41,29 @@ TEST(FedAvg, UnweightedMeanWithEqualSamples) {
 }
 
 TEST(FedAvg, SampleCountWeighting) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {0.0f}, 30));
-  updates.push_back(make_update(1, {4.0f}, 10));
+  Rows updates;
+  updates.push_back(row(0, {0.0f}, 30));
+  updates.push_back(row(1, {4.0f}, 10));
   FedAvgAggregator fedavg;
-  const auto result = fedavg.aggregate(context_for({}), updates);
+  const auto result = test::aggregate(fedavg, context_for({}), updates);
   EXPECT_FLOAT_EQ(result.parameters[0], 1.0f);  // (30*0 + 10*4)/40
 }
 
 TEST(FedAvg, ZeroWeightsFallBackToUnweighted) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {2.0f}, 0));
-  updates.push_back(make_update(1, {4.0f}, 0));
+  Rows updates;
+  updates.push_back(row(0, {2.0f}, 0));
+  updates.push_back(row(1, {4.0f}, 0));
   FedAvgAggregator fedavg;
-  EXPECT_FLOAT_EQ(fedavg.aggregate(context_for({}), updates).parameters[0], 3.0f);
+  EXPECT_FLOAT_EQ(test::aggregate(fedavg, context_for({}), updates).parameters[0], 3.0f);
 }
 
 TEST(Aggregation, ValidationErrors) {
   FedAvgAggregator fedavg;
-  std::vector<ClientUpdate> empty;
-  EXPECT_THROW((void)fedavg.aggregate(context_for({}), empty), std::invalid_argument);
-  std::vector<ClientUpdate> mismatched;
-  mismatched.push_back(make_update(0, {1.0f, 2.0f}));
-  mismatched.push_back(make_update(1, {1.0f}));
-  EXPECT_THROW((void)fedavg.aggregate(context_for({}), mismatched), std::invalid_argument);
+  const Rows empty;
+  EXPECT_THROW((void)test::aggregate(fedavg, context_for({}), empty), std::invalid_argument);
+  const Rows zero_dimension{row(0, {}), row(1, {})};
+  EXPECT_THROW((void)test::aggregate(fedavg, context_for({}), zero_dimension),
+               std::invalid_argument);
 }
 
 TEST(GeoMed, MatchesMedianInOneDimension) {
@@ -82,14 +76,14 @@ TEST(GeoMed, MatchesMedianInOneDimension) {
 TEST(GeoMed, RobustToMinorityOutlier) {
   // 4 benign points near the origin, 1 gross outlier: the geometric median
   // stays near the benign cluster while the mean is dragged away.
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {0.1f, 0.0f}));
-  updates.push_back(make_update(1, {-0.1f, 0.1f}));
-  updates.push_back(make_update(2, {0.0f, -0.1f}));
-  updates.push_back(make_update(3, {0.05f, 0.05f}));
-  updates.push_back(make_update(4, {1000.0f, 1000.0f}, 1, true));
+  Rows updates;
+  updates.push_back(row(0, {0.1f, 0.0f}));
+  updates.push_back(row(1, {-0.1f, 0.1f}));
+  updates.push_back(row(2, {0.0f, -0.1f}));
+  updates.push_back(row(3, {0.05f, 0.05f}));
+  updates.push_back(row(4, {1000.0f, 1000.0f}, 1, true));
   GeoMedAggregator geomed;
-  const auto result = geomed.aggregate(context_for({}), updates);
+  const auto result = test::aggregate(geomed, context_for({}), updates);
   EXPECT_LT(util::l2_norm(result.parameters), 1.0);
 }
 
@@ -134,14 +128,14 @@ TEST(Krum, ScoresFavorClusterCore) {
 }
 
 TEST(Krum, SelectsBenignUpdateUnderMinorityAttack) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f, 1.0f}));
-  updates.push_back(make_update(1, {1.1f, 0.9f}));
-  updates.push_back(make_update(2, {0.9f, 1.1f}));
-  updates.push_back(make_update(3, {1.05f, 1.0f}));
-  updates.push_back(make_update(4, {-30.0f, 40.0f}, 1, true));
+  Rows updates;
+  updates.push_back(row(0, {1.0f, 1.0f}));
+  updates.push_back(row(1, {1.1f, 0.9f}));
+  updates.push_back(row(2, {0.9f, 1.1f}));
+  updates.push_back(row(3, {1.05f, 1.0f}));
+  updates.push_back(row(4, {-30.0f, 40.0f}, 1, true));
   KrumAggregator krum{0.25, 1};
-  const auto result = krum.aggregate(context_for({}), updates);
+  const auto result = test::aggregate(krum, context_for({}), updates);
   // Selected vector is one of the benign cluster members.
   EXPECT_NEAR(result.parameters[0], 1.0f, 0.2f);
   EXPECT_NEAR(result.parameters[1], 1.0f, 0.2f);
@@ -151,23 +145,23 @@ TEST(Krum, SelectsBenignUpdateUnderMinorityAttack) {
 }
 
 TEST(MultiKrum, AveragesKBest) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f}));
-  updates.push_back(make_update(1, {1.2f}));
-  updates.push_back(make_update(2, {0.8f}));
-  updates.push_back(make_update(3, {100.0f}, 1, true));
+  Rows updates;
+  updates.push_back(row(0, {1.0f}));
+  updates.push_back(row(1, {1.2f}));
+  updates.push_back(row(2, {0.8f}));
+  updates.push_back(row(3, {100.0f}, 1, true));
   KrumAggregator multi_krum{0.25, 3};
-  const auto result = multi_krum.aggregate(context_for({}), updates);
+  const auto result = test::aggregate(multi_krum, context_for({}), updates);
   EXPECT_NEAR(result.parameters[0], 1.0f, 0.15f);
   EXPECT_EQ(result.accepted_clients.size(), 3u);
 }
 
 TEST(Krum, HandlesTinyCohorts) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f}));
-  updates.push_back(make_update(1, {2.0f}));
+  Rows updates;
+  updates.push_back(row(0, {1.0f}));
+  updates.push_back(row(1, {2.0f}));
   KrumAggregator krum{0.5, 1};
-  EXPECT_NO_THROW((void)krum.aggregate(context_for({}), updates));
+  EXPECT_NO_THROW((void)test::aggregate(krum, context_for({}), updates));
 }
 
 TEST(CoordinateMedian, OddAndEvenCounts) {
@@ -181,13 +175,13 @@ TEST(CoordinateMedian, OddAndEvenCounts) {
 }
 
 TEST(CoordinateMedian, RobustToMinorityExtremes) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {0.0f}));
-  updates.push_back(make_update(1, {0.1f}));
-  updates.push_back(make_update(2, {-0.1f}));
-  updates.push_back(make_update(3, {1e6f}, 1, true));
+  Rows updates;
+  updates.push_back(row(0, {0.0f}));
+  updates.push_back(row(1, {0.1f}));
+  updates.push_back(row(2, {-0.1f}));
+  updates.push_back(row(3, {1e6f}, 1, true));
   CoordinateMedianAggregator median;
-  EXPECT_NEAR(median.aggregate(context_for({}), updates).parameters[0], 0.05f, 0.06f);
+  EXPECT_NEAR(test::aggregate(median, context_for({}), updates).parameters[0], 0.05f, 0.06f);
 }
 
 TEST(TrimmedMean, DropsExtremesSymmetrically) {
@@ -208,37 +202,37 @@ TEST(TrimmedMean, InvalidFractionRejected) {
 TEST(NormThreshold, ClipsOversizedDeltas) {
   // Global at origin. 3 unit-norm benign deltas + 1 huge delta: the huge one
   // is scaled to the median norm, so the aggregate stays bounded.
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f, 0.0f, 0.0f}));
-  updates.push_back(make_update(1, {0.0f, 1.0f, 0.0f}));
-  updates.push_back(make_update(2, {0.0f, 0.0f, 1.0f}));
-  updates.push_back(make_update(3, {1000.0f, 0.0f, 0.0f}, 1, true));
+  Rows updates;
+  updates.push_back(row(0, {1.0f, 0.0f, 0.0f}));
+  updates.push_back(row(1, {0.0f, 1.0f, 0.0f}));
+  updates.push_back(row(2, {0.0f, 0.0f, 1.0f}));
+  updates.push_back(row(3, {1000.0f, 0.0f, 0.0f}, 1, true));
   NormThresholdAggregator aggregator;
-  const auto result = aggregator.aggregate(context_for(kZeroGlobal3), updates);
+  const auto result = test::aggregate(aggregator, context_for(kZeroGlobal3), updates);
   EXPECT_LT(util::l2_norm(result.parameters), 1.0);
 }
 
 TEST(NormThreshold, SignFlipDefeatsIt) {
   // The paper's point: sign flips preserve norms, so the defense cannot
   // tell them apart and the poisoned mean survives.
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f, 1.0f, 1.0f}));
-  updates.push_back(make_update(1, {-1.0f, -1.0f, -1.0f}, 1, true));
+  Rows updates;
+  updates.push_back(row(0, {1.0f, 1.0f, 1.0f}));
+  updates.push_back(row(1, {-1.0f, -1.0f, -1.0f}, 1, true));
   NormThresholdAggregator aggregator;
-  const auto result = aggregator.aggregate(context_for(kZeroGlobal3), updates);
+  const auto result = test::aggregate(aggregator, context_for(kZeroGlobal3), updates);
   EXPECT_NEAR(result.parameters[0], 0.0f, 1e-5f);  // attack cancelled the signal
 }
 
 TEST(DetectionStats, ConfusionMatrix) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f}, 1, true));    // rejected -> TP
-  updates.push_back(make_update(1, {1.0f}, 1, true));    // accepted -> FN
-  updates.push_back(make_update(2, {1.0f}, 1, false));   // rejected -> FP
-  updates.push_back(make_update(3, {1.0f}, 1, false));   // accepted -> TN
+  Rows updates;
+  updates.push_back(row(0, {1.0f}, 1, true));    // rejected -> TP
+  updates.push_back(row(1, {1.0f}, 1, true));    // accepted -> FN
+  updates.push_back(row(2, {1.0f}, 1, false));   // rejected -> FP
+  updates.push_back(row(3, {1.0f}, 1, false));   // accepted -> TN
   AggregationResult result;
   result.rejected_clients = {0, 2};
   result.accepted_clients = {1, 3};
-  const DetectionStats stats = compute_detection_stats(updates, result);
+  const DetectionStats stats = test::detection_stats(updates, result);
   EXPECT_EQ(stats.true_positives, 1u);
   EXPECT_EQ(stats.false_negatives, 1u);
   EXPECT_EQ(stats.false_positives, 1u);
@@ -264,29 +258,29 @@ class AggregatorProperties : public ::testing::TestWithParam<Op> {};
 
 TEST_P(AggregatorProperties, PermutationInvariant) {
   util::Rng rng{77};
-  std::vector<ClientUpdate> updates;
+  Rows updates;
   for (int k = 0; k < 7; ++k) {
     std::vector<float> psi(6);
     for (auto& v : psi) v = rng.uniform_float(-1.0f, 1.0f);
-    updates.push_back(make_update(k, std::move(psi)));
+    updates.push_back(row(k, std::move(psi)));
   }
   auto strategy = make_op(GetParam());
   const std::vector<float> global(6, 0.0f);
-  const auto forward = strategy->aggregate(context_for(global), updates);
+  const auto forward = test::aggregate(*strategy, context_for(global), updates);
   std::reverse(updates.begin(), updates.end());
-  const auto reversed = strategy->aggregate(context_for(global), updates);
+  const auto reversed = test::aggregate(*strategy, context_for(global), updates);
   for (std::size_t i = 0; i < forward.parameters.size(); ++i) {
     EXPECT_NEAR(forward.parameters[i], reversed.parameters[i], 1e-4f);
   }
 }
 
 TEST_P(AggregatorProperties, IdenticalUpdatesReturnThatUpdate) {
-  std::vector<ClientUpdate> updates;
+  Rows updates;
   const std::vector<float> psi{0.5f, -1.5f, 2.0f};
-  for (int k = 0; k < 5; ++k) updates.push_back(make_update(k, psi));
+  for (int k = 0; k < 5; ++k) updates.push_back(row(k, psi));
   auto strategy = make_op(GetParam());
   const std::vector<float> global(3, 0.0f);
-  const auto result = strategy->aggregate(context_for(global), updates);
+  const auto result = test::aggregate(*strategy, context_for(global), updates);
   for (std::size_t i = 0; i < psi.size(); ++i) {
     EXPECT_NEAR(result.parameters[i], psi[i], 1e-4f);
   }
@@ -294,21 +288,21 @@ TEST_P(AggregatorProperties, IdenticalUpdatesReturnThatUpdate) {
 
 TEST_P(AggregatorProperties, TranslationEquivariant) {
   util::Rng rng{78};
-  std::vector<ClientUpdate> updates;
+  Rows updates;
   for (int k = 0; k < 6; ++k) {
     std::vector<float> psi(4);
     for (auto& v : psi) v = rng.uniform_float(-1.0f, 1.0f);
-    updates.push_back(make_update(k, std::move(psi)));
+    updates.push_back(row(k, std::move(psi)));
   }
   auto strategy = make_op(GetParam());
   const std::vector<float> global(4, 0.0f);
-  const auto base = strategy->aggregate(context_for(global), updates);
+  const auto base = test::aggregate(*strategy, context_for(global), updates);
 
   const float shift = 2.5f;
   for (auto& update : updates) {
     for (auto& v : update.psi) v += shift;
   }
-  const auto shifted = strategy->aggregate(context_for(global), updates);
+  const auto shifted = test::aggregate(*strategy, context_for(global), updates);
   for (std::size_t i = 0; i < base.parameters.size(); ++i) {
     EXPECT_NEAR(shifted.parameters[i], base.parameters[i] + shift, 1e-3f);
   }
@@ -320,35 +314,29 @@ INSTANTIATE_TEST_SUITE_P(AllOps, AggregatorProperties,
 
 // ---- Zero-copy view API edge cases ------------------------------------------
 
-UpdateMatrix arena_from(std::span<const ClientUpdate> updates) {
-  UpdateMatrix arena;
-  fill_update_matrix(arena, updates);
-  return arena;
-}
-
 TEST(UpdateViewApi, MeanOfEmptySelectionThrows) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f, 2.0f}));
-  const UpdateMatrix arena = arena_from(updates);
+  Rows updates;
+  updates.push_back(row(0, {1.0f, 2.0f}));
+  const UpdateMatrix arena = test::matrix_of(updates);
   const UpdateView view{arena};
   EXPECT_THROW((void)mean_of(view, {}), std::invalid_argument);
 }
 
 TEST(UpdateViewApi, WeightedMeanZeroSamplesFallsBackToUnweighted) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {2.0f}, 0));
-  updates.push_back(make_update(1, {4.0f}, 0));
-  const UpdateMatrix arena = arena_from(updates);
+  Rows updates;
+  updates.push_back(row(0, {2.0f}, 0));
+  updates.push_back(row(1, {4.0f}, 0));
+  const UpdateMatrix arena = test::matrix_of(updates);
   const std::vector<float> mean = weighted_mean(UpdateView{arena});
   EXPECT_FLOAT_EQ(mean[0], 3.0f);
 }
 
 TEST(UpdateViewApi, SingleRowSelectionReturnsThatRow) {
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f, -1.0f}, 3));
-  updates.push_back(make_update(1, {7.0f, 9.0f}, 5));
-  updates.push_back(make_update(2, {-4.0f, 2.0f}, 8));
-  const UpdateMatrix arena = arena_from(updates);
+  Rows updates;
+  updates.push_back(row(0, {1.0f, -1.0f}, 3));
+  updates.push_back(row(1, {7.0f, 9.0f}, 5));
+  updates.push_back(row(2, {-4.0f, 2.0f}, 8));
+  const UpdateMatrix arena = test::matrix_of(updates);
   const UpdateView view{arena};
 
   const std::vector<std::size_t> only{1};
@@ -367,11 +355,11 @@ TEST(UpdateViewApi, SingleRowSelectionReturnsThatRow) {
 
 TEST(UpdateViewApi, ComposedSelectionIndexesThroughParentView) {
   // A selection of a selection must resolve to the original arena rows.
-  std::vector<ClientUpdate> updates;
+  Rows updates;
   for (int k = 0; k < 5; ++k) {
-    updates.push_back(make_update(k, {static_cast<float>(k), 0.0f}, 1));
+    updates.push_back(row(k, {static_cast<float>(k), 0.0f}, 1));
   }
-  const UpdateMatrix arena = arena_from(updates);
+  const UpdateMatrix arena = test::matrix_of(updates);
   const UpdateView view{arena};
   std::vector<std::size_t> outer_storage;
   const std::vector<std::size_t> outer{4, 2, 0};  // arena rows 4, 2, 0
@@ -391,10 +379,10 @@ TEST(UpdateViewApi, MeanOfIteratesSelectionOrder) {
   // score-sorted order; bit-for-bit parity depends on it). With doubles the
   // sum is order-sensitive only through rounding, so instead verify the
   // selection indirection itself by selecting the same row twice.
-  std::vector<ClientUpdate> updates;
-  updates.push_back(make_update(0, {1.0f}, 1));
-  updates.push_back(make_update(1, {4.0f}, 1));
-  const UpdateMatrix arena = arena_from(updates);
+  Rows updates;
+  updates.push_back(row(0, {1.0f}, 1));
+  updates.push_back(row(1, {4.0f}, 1));
+  const UpdateMatrix arena = test::matrix_of(updates);
   const UpdateView view{arena};
   const std::vector<std::size_t> twice{1, 1};
   EXPECT_FLOAT_EQ(mean_of(view, twice)[0], 4.0f);

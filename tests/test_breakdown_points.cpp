@@ -23,6 +23,8 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
+#include "update_rows.hpp"
+
 namespace fedguard::defenses {
 namespace {
 
@@ -32,16 +34,16 @@ constexpr float kOutlierValue = 50.0f;
 
 /// Cohort of kCohort updates: benign near 1.0 (small jitter), the first
 /// `malicious` replaced by colluding outliers at kOutlierValue.
-std::vector<ClientUpdate> make_cohort(std::size_t malicious, std::uint64_t seed) {
+std::vector<test::Row> make_cohort(std::size_t malicious, std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<ClientUpdate> updates(kCohort);
+  std::vector<test::Row> updates(kCohort);
   for (std::size_t k = 0; k < kCohort; ++k) {
-    updates[k].client_id = static_cast<int>(k);
-    updates[k].num_samples = 100;
-    updates[k].truly_malicious = k < malicious;
+    updates[k].id = static_cast<int>(k);
+    updates[k].samples = 100;
+    updates[k].malicious = k < malicious;
     updates[k].psi.resize(kDim);
     for (auto& v : updates[k].psi) {
-      v = updates[k].truly_malicious ? kOutlierValue
+      v = updates[k].malicious ? kOutlierValue
                                      : 1.0f + rng.uniform_float(-0.05f, 0.05f);
     }
   }
@@ -55,7 +57,7 @@ double aggregate_error(AggregationStrategy& strategy, std::size_t malicious,
   const std::vector<float> global(kDim, 0.0f);
   AggregationContext context;
   context.global_parameters = global;
-  const auto result = strategy.aggregate(context, updates);
+  const auto result = test::aggregate(strategy, context, updates);
   std::vector<float> benign(kDim, 1.0f);
   return util::l2_distance(result.parameters, benign) / std::sqrt(double(kDim));
 }
@@ -134,7 +136,7 @@ TEST(BreakdownEdge, FiftyPercentIsGeometricallyAmbiguous) {
   const std::vector<float> global(kDim, 0.0f);
   AggregationContext context;
   context.global_parameters = global;
-  const auto result = geomed.aggregate(context, updates);
+  const auto result = test::aggregate(geomed, context, updates);
   // The aggregate lands between the clusters — far from BOTH the benign
   // consensus and zero; the defense has no information to pick a side.
   const double to_benign =
@@ -152,17 +154,17 @@ TEST(BreakdownEdge, FiftyPercentIsGeometricallyAmbiguous) {
 /// Covert cohort (arXiv 2101.11799 geometry): benign delta_k ~ N(1, 0.3) per
 /// coordinate; each attacker submits the exact mirror −delta_k of its own
 /// honest delta, so per-update norms are indistinguishable from benign.
-std::vector<ClientUpdate> make_covert_cohort(std::size_t malicious, std::uint64_t seed) {
+std::vector<test::Row> make_covert_cohort(std::size_t malicious, std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<ClientUpdate> updates(kCohort);
+  std::vector<test::Row> updates(kCohort);
   for (std::size_t k = 0; k < kCohort; ++k) {
-    updates[k].client_id = static_cast<int>(k);
-    updates[k].num_samples = 100;
-    updates[k].truly_malicious = k < malicious;
+    updates[k].id = static_cast<int>(k);
+    updates[k].samples = 100;
+    updates[k].malicious = k < malicious;
     updates[k].psi.resize(kDim);
     for (auto& v : updates[k].psi) {
       v = 1.0f + rng.uniform_float(-0.3f, 0.3f);
-      if (updates[k].truly_malicious) v = -v;
+      if (updates[k].malicious) v = -v;
     }
   }
   return updates;
@@ -176,7 +178,7 @@ TEST(CovertBreakdown, FedAvgDegradesLinearlyInAttackerFraction) {
     AggregationContext context;
     const std::vector<float> global(kDim, 0.0f);
     context.global_parameters = global;
-    const auto result = fedavg.aggregate(context, updates);
+    const auto result = test::aggregate(fedavg, context, updates);
     const double error = util::l2_distance(result.parameters,
                                            std::vector<float>(kDim, 1.0f)) /
                          std::sqrt(double(kDim));
@@ -200,7 +202,7 @@ TEST(CovertBreakdown, KrumAndFedCpaHoldBelowParity) {
     context.global_parameters = global;
     for (AggregationStrategy* strategy :
          std::initializer_list<AggregationStrategy*>{&krum, &fedcpa}) {
-      const auto result = strategy->aggregate(context, updates);
+      const auto result = test::aggregate(*strategy, context, updates);
       const double error = util::l2_distance(result.parameters,
                                              std::vector<float>(kDim, 1.0f)) /
                            std::sqrt(double(kDim));
@@ -216,8 +218,8 @@ TEST(CovertBreakdown, FedCpaEjectsTheMirroredClique) {
   AggregationContext context;
   const std::vector<float> global(kDim, 0.0f);
   context.global_parameters = global;
-  const auto result = fedcpa.aggregate(context, updates);
-  const auto stats = compute_detection_stats(updates, result);
+  const auto result = test::aggregate(fedcpa, context, updates);
+  const auto stats = test::detection_stats(updates, result);
   // keep_fraction 0.5 rejects 10 of 20: all 6 mirrored attackers must be in
   // the rejected half (their consensus-gated similarity clamps to zero).
   EXPECT_EQ(stats.false_negatives, 0u);
@@ -227,17 +229,17 @@ TEST(CovertBreakdown, FedCpaEjectsTheMirroredClique) {
 /// Krum-evading cohort: benign updates scatter widely around the consensus at
 /// 1.0; colluders place themselves in an ε-tight cluster just off the global
 /// model (0.0), closer to each other than any benign pair is.
-std::vector<ClientUpdate> make_krum_evade_cohort(std::size_t malicious,
+std::vector<test::Row> make_krum_evade_cohort(std::size_t malicious,
                                                  std::uint64_t seed) {
   util::Rng rng{seed};
-  std::vector<ClientUpdate> updates(kCohort);
+  std::vector<test::Row> updates(kCohort);
   for (std::size_t k = 0; k < kCohort; ++k) {
-    updates[k].client_id = static_cast<int>(k);
-    updates[k].num_samples = 100;
-    updates[k].truly_malicious = k < malicious;
+    updates[k].id = static_cast<int>(k);
+    updates[k].samples = 100;
+    updates[k].malicious = k < malicious;
     updates[k].psi.resize(kDim);
     for (auto& v : updates[k].psi) {
-      v = updates[k].truly_malicious ? 0.05f + rng.uniform_float(-1e-4f, 1e-4f)
+      v = updates[k].malicious ? 0.05f + rng.uniform_float(-1e-4f, 1e-4f)
                                      : 1.0f + rng.uniform_float(-0.8f, 0.8f);
     }
   }
@@ -257,7 +259,7 @@ TEST(KrumEvadeBreakdown, TightColluderClusterDefeatsKrum) {
       AggregationContext context;
       const std::vector<float> global(kDim, 0.0f);
       context.global_parameters = global;
-      const auto result = krum.aggregate(context, updates);
+      const auto result = test::aggregate(krum, context, updates);
       return util::l2_distance(result.parameters, std::vector<float>(kDim, 1.0f)) /
              std::sqrt(double(kDim));
     }();
@@ -271,7 +273,7 @@ TEST(KrumEvadeBreakdown, CoordinateMedianHolds) {
   AggregationContext context;
   const std::vector<float> global(kDim, 0.0f);
   context.global_parameters = global;
-  const auto result = median.aggregate(context, updates);
+  const auto result = test::aggregate(median, context, updates);
   const double error = util::l2_distance(result.parameters,
                                          std::vector<float>(kDim, 1.0f)) /
                        std::sqrt(double(kDim));

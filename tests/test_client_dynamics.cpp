@@ -9,6 +9,8 @@
 #include "data/synthetic_mnist.hpp"
 #include "fl/client.hpp"
 
+#include "update_rows.hpp"
+
 namespace fedguard::fl {
 namespace {
 
@@ -17,6 +19,12 @@ models::CvaeSpec small_cvae() {
   spec.hidden = 48;
   spec.latent = 2;
   return spec;
+}
+
+/// θ length of a small_cvae() decoder: the room a round row needs for it.
+std::size_t small_decoder_dim() {
+  models::CvaeDecoder decoder{small_cvae(), 0};
+  return decoder.parameter_count();
 }
 
 ClientConfig fast_config(std::size_t retrain_interval) {
@@ -89,9 +97,9 @@ TEST_F(DynamicsFixture, RefreshReappliesLabelFlip) {
 TEST_F(DynamicsFixture, TrainOnceKeepsDecoderAcrossRefresh) {
   Client client{0, first_wave, indices, fast_config(0), models::ClassifierArch::Mlp,
                 geometry, small_cvae(), 306};
-  const auto first = client.run_round(global, 0);
+  const auto first = test::train_row(client, global, 0, small_decoder_dim());
   client.refresh_data(second_wave, indices);
-  const auto second = client.run_round(global, 1);
+  const auto second = test::train_row(client, global, 1, small_decoder_dim());
   // interval 0 = paper default: decoder trained exactly once, even after a
   // data refresh.
   EXPECT_EQ(first.theta, second.theta);
@@ -100,12 +108,12 @@ TEST_F(DynamicsFixture, TrainOnceKeepsDecoderAcrossRefresh) {
 TEST_F(DynamicsFixture, RetrainIntervalRefreshesDecoder) {
   Client client{0, first_wave, indices, fast_config(2), models::ClassifierArch::Mlp,
                 geometry, small_cvae(), 307};
-  const auto round0 = client.run_round(global, 0);
-  const auto round1 = client.run_round(global, 1);
+  const auto round0 = test::train_row(client, global, 0, small_decoder_dim());
+  const auto round1 = test::train_row(client, global, 1, small_decoder_dim());
   EXPECT_EQ(round0.theta, round1.theta);  // not yet due (interval 2)
-  const auto round2 = client.run_round(global, 2);
+  const auto round2 = test::train_row(client, global, 2, small_decoder_dim());
   EXPECT_NE(round0.theta, round2.theta);  // retrained after 2 participations
-  const auto round3 = client.run_round(global, 3);
+  const auto round3 = test::train_row(client, global, 3, small_decoder_dim());
   EXPECT_EQ(round2.theta, round3.theta);  // cached again until next interval
 }
 
@@ -114,16 +122,16 @@ TEST_F(DynamicsFixture, RetrainTracksRefreshedData) {
                geometry, small_cvae(), 308};
   Client fresh{1, first_wave, indices, fast_config(1), models::ClassifierArch::Mlp,
                geometry, small_cvae(), 308};
-  (void)stale.run_round(global, 0);
-  (void)fresh.run_round(global, 0);
+  (void)test::train_row(stale, global, 0, small_decoder_dim());
+  (void)test::train_row(fresh, global, 0, small_decoder_dim());
   stale.refresh_data(second_wave, indices);
   fresh.refresh_data(second_wave, indices);
-  const auto stale_update = stale.run_round(global, 1);
-  const auto fresh_update = fresh.run_round(global, 1);
+  const auto stale_update = test::train_row(stale, global, 1, small_decoder_dim());
+  const auto fresh_update = test::train_row(fresh, global, 1, small_decoder_dim());
   // Only the retraining client's decoder changes after new data arrives.
   Client baseline{2, first_wave, indices, fast_config(0), models::ClassifierArch::Mlp,
                   geometry, small_cvae(), 308};
-  const auto baseline_update = baseline.run_round(global, 0);
+  const auto baseline_update = test::train_row(baseline, global, 0, small_decoder_dim());
   EXPECT_EQ(stale_update.theta, baseline_update.theta);
   EXPECT_NE(fresh_update.theta, baseline_update.theta);
 }

@@ -14,6 +14,8 @@
 #include "attacks/label_flip.hpp"
 #include "nn/parameter_vector.hpp"
 
+#include "update_rows.hpp"
+
 namespace fedguard::fl {
 namespace {
 
@@ -22,6 +24,12 @@ models::CvaeSpec small_cvae() {
   spec.hidden = 48;
   spec.latent = 6;
   return spec;
+}
+
+/// θ length of a small_cvae() decoder: the room a round row needs for it.
+std::size_t small_decoder_dim() {
+  models::CvaeDecoder decoder{small_cvae(), 0};
+  return decoder.parameter_count();
 }
 
 ClientConfig fast_client_config(bool train_cvae) {
@@ -48,18 +56,18 @@ struct FlFixture : ::testing::Test {
   std::vector<std::size_t> indices;
 };
 
-TEST_F(FlFixture, ClientUpdateHasExpectedShape) {
+TEST_F(FlFixture, RoundRowHasExpectedShape) {
   Client client{0, dataset, indices, fast_client_config(true),
                 models::ClassifierArch::Mlp, geometry, small_cvae(), 82};
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 83};
   const std::vector<float> global = reference.parameters_flat();
 
-  const defenses::ClientUpdate update = client.run_round(global, 0);
-  EXPECT_EQ(update.client_id, 0);
+  const test::Row update = test::train_row(client, global, 0, small_decoder_dim());
+  EXPECT_EQ(update.id, 0);
   EXPECT_EQ(update.psi.size(), global.size());
-  EXPECT_EQ(update.num_samples, 60u);
-  EXPECT_FALSE(update.truly_malicious);
-  EXPECT_FALSE(update.theta.empty());
+  EXPECT_EQ(update.samples, 60u);
+  EXPECT_FALSE(update.malicious);
+  EXPECT_EQ(update.theta.size(), small_decoder_dim());
   EXPECT_TRUE(client.cvae_trained());
   // Local training must actually move the parameters.
   EXPECT_NE(update.psi, global);
@@ -70,8 +78,8 @@ TEST_F(FlFixture, CvaeTrainedOnlyOnce) {
                 models::ClassifierArch::Mlp, geometry, small_cvae(), 84};
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 85};
   const std::vector<float> global = reference.parameters_flat();
-  const auto first = client.run_round(global, 0);
-  const auto second = client.run_round(global, 1);
+  const auto first = test::train_row(client, global, 0, small_decoder_dim());
+  const auto second = test::train_row(client, global, 1, small_decoder_dim());
   // Static partition -> same decoder parameters both rounds (footnote 5).
   EXPECT_EQ(first.theta, second.theta);
 }
@@ -80,7 +88,7 @@ TEST_F(FlFixture, CvaeSkippedWhenDisabled) {
   Client client{0, dataset, indices, fast_client_config(false),
                 models::ClassifierArch::Mlp, geometry, small_cvae(), 86};
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 87};
-  const auto update = client.run_round(reference.parameters_flat(), 0);
+  const auto update = test::train_row(client, reference.parameters_flat(), 0);
   EXPECT_TRUE(update.theta.empty());
   EXPECT_FALSE(client.cvae_trained());
 }
@@ -93,8 +101,8 @@ TEST_F(FlFixture, ModelAttackAppliedToUpload) {
   EXPECT_TRUE(client.malicious());
 
   models::Classifier reference{models::ClassifierArch::Mlp, geometry, 89};
-  const auto update = client.run_round(reference.parameters_flat(), 0);
-  EXPECT_TRUE(update.truly_malicious);
+  const auto update = test::train_row(client, reference.parameters_flat(), 0);
+  EXPECT_TRUE(update.malicious);
   for (const float v : update.psi) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <typeinfo>
 
 #include "data/partition.hpp"
 #include "data/synthetic_mnist.hpp"
@@ -21,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace fedguard::net {
 namespace {
@@ -86,14 +88,20 @@ std::vector<std::byte> sample_frame() {
   return encode_frame({MessageType::RoundRequest, encode_round_request(request)});
 }
 
-DecodeErrorCode decode_failure(std::span<const std::byte> buffer) {
+/// The DecodeError code `decode` raises; a decode that succeeds is a failure.
+template <typename Decode>
+DecodeErrorCode decode_error_code(Decode&& decode) {
   try {
-    (void)decode_frame(buffer);
+    decode();
   } catch (const DecodeError& e) {
     return e.code();
   }
-  ADD_FAILURE() << "corrupt frame decoded without error";
+  ADD_FAILURE() << "hostile input decoded without error";
   return DecodeErrorCode::BadMagic;
+}
+
+DecodeErrorCode decode_failure(std::span<const std::byte> buffer) {
+  return decode_error_code([&] { (void)decode_frame(buffer); });
 }
 
 TEST(Messages, SaneFrameDecodes) {
@@ -139,6 +147,63 @@ TEST(Messages, TruncatedFrameIsTyped) {
   EXPECT_EQ(decode_failure({frame.data(), frame.size() - 3}),
             DecodeErrorCode::Truncated);
   EXPECT_EQ(decode_failure({frame.data(), kFrameHeaderBytes - 1}),
+            DecodeErrorCode::Truncated);
+}
+
+// ---- Lengths read from the peer that wrap 64-bit arithmetic -------------------
+
+/// A TelemetryReport whose one event claims a name of 2^64 - 41 bytes. At
+/// the offset it is read from, offset + length wraps to a value inside the
+/// payload, which a sum-based bounds check lets through.
+std::vector<std::byte> wrapped_telemetry_payload() {
+  util::ByteWriter writer;
+  writer.write_u32(1);  // sender pid
+  writer.write_u32(1);  // sender id
+  writer.write_u64(0);  // round
+  writer.write_u64(0);  // trace id
+  writer.write_u64(1);  // one event
+  writer.write_u64(0);  // rel_ts_ns
+  writer.write_u64(0);  // trace id
+  writer.write_u64(0);  // round
+  writer.write_u32(0);  // tid
+  writer.write_u32('B');  // phase
+  writer.write_u64(~0ULL - 40);  // name length
+  return writer.bytes();
+}
+
+TEST(Messages, WrappedTelemetryStringLengthIsTruncated) {
+  const std::vector<std::byte> payload = wrapped_telemetry_payload();
+  EXPECT_EQ(decode_error_code([&] { (void)decode_telemetry_report(payload); }),
+            DecodeErrorCode::Truncated);
+}
+
+TEST(Messages, WrappedRoundRequestCountIsTruncated) {
+  util::ByteWriter writer;
+  writer.write_u64(1);  // round
+  writer.write_u32(0);  // want_decoder
+  writer.write_u32(0);  // codec: fp32
+  writer.write_u32(static_cast<std::uint32_t>(util::kDefaultQ8ChunkSize));
+  writer.write_u64(0);  // trace id
+  writer.write_u64(0);  // parent span
+  writer.write_u64((1ULL << 62) + 1);  // count * 4 wraps to 4
+  writer.write_f32(1.0f);
+  const std::vector<std::byte> payload = writer.bytes();
+  EXPECT_EQ(decode_error_code([&] { (void)decode_round_request(payload); }),
+            DecodeErrorCode::Truncated);
+}
+
+TEST(Messages, OwnedReplyRejectsAPsiCountBeyondThePayload) {
+  util::ByteWriter writer;
+  writer.write_u64(1);  // round
+  writer.write_u64(0);  // trace id
+  writer.write_u32(2);  // client id
+  writer.write_u64(10);  // samples
+  writer.write_u32(0);  // malicious
+  writer.write_u32(0);  // codec: fp32
+  writer.write_u64((1ULL << 62) + 1);  // psi count
+  writer.write_f32(1.0f);
+  const std::vector<std::byte> payload = writer.bytes();
+  EXPECT_EQ(decode_error_code([&] { (void)decode_round_reply(payload); }),
             DecodeErrorCode::Truncated);
 }
 
@@ -399,6 +464,156 @@ TEST(HttpParserFuzz, MutatedRequestLinesNeverThrowAndRespectTheCap) {
   }
 }
 
+// ---- Binary decoder fuzz --------------------------------------------------------
+
+// ψ and θ lengths of the seed replies and of the fixed-shape arena row.
+constexpr std::size_t kFuzzPsi = 16;
+constexpr std::size_t kFuzzTheta = 5;
+
+/// Valid frames of every type the federation parses from a peer: Hello,
+/// RoundRequest, RoundReply in each ψ codec, and TelemetryReport.
+std::vector<std::vector<std::byte>> fuzz_seed_frames() {
+  std::vector<std::vector<std::byte>> frames;
+  frames.push_back(encode_frame({MessageType::Hello, encode_hello(7)}));
+
+  RoundRequest request;
+  request.round = 4;
+  request.want_decoder = true;
+  request.psi_codec = util::WireCodec::Q8;
+  request.psi_chunk = 8;
+  request.trace_id = 0x1234;
+  request.parent_span = 0x55;
+  for (std::size_t i = 0; i < kFuzzPsi; ++i) {
+    request.global_parameters.push_back(0.25f * static_cast<float>(i) - 1.0f);
+  }
+  frames.push_back(encode_frame({MessageType::RoundRequest, encode_round_request(request)}));
+
+  for (const util::WireCodec codec :
+       {util::WireCodec::Fp32, util::WireCodec::Fp16, util::WireCodec::Q8}) {
+    RoundReply reply;
+    reply.round = 4;
+    reply.trace_id = 0x1234;
+    reply.psi_codec = codec;
+    reply.psi_chunk = 8;
+    reply.update.client_id = 3;
+    reply.update.num_samples = 60;
+    reply.update.psi = request.global_parameters;
+    reply.update.theta.assign(kFuzzTheta, 0.5f);
+    frames.push_back(encode_frame({MessageType::RoundReply, encode_round_reply(reply)}));
+  }
+
+  TelemetryFrame report;
+  report.sender_pid = 99;
+  report.sender_id = 3;
+  report.round = 4;
+  report.trace_id = 0x1234;
+  report.events.push_back({"client.train", "train:3", 0, 0x1234, 4, 1, 'B'});
+  report.events.push_back({"client.train", "train:3", 900, 0x1234, 4, 1, 'E'});
+  report.counter_deltas.emplace_back("fl_client_rounds_total", 1);
+  report.counter_deltas.emplace_back("obs_trace_dropped_spans_total", 0);
+  frames.push_back(
+      encode_frame({MessageType::TelemetryReport, encode_telemetry_report(report)}));
+  return frames;
+}
+
+/// Length-field values a hostile peer would pick: zero, sign and width
+/// boundaries, and values whose sum with a small offset wraps 2^64.
+std::uint64_t extreme_length(util::Rng& rng) {
+  switch (rng.uniform_int(8)) {
+    case 0: return 0;
+    case 1: return 1;
+    case 2: return 0xffffffffULL;
+    case 3: return (1ULL << 62) + 1;
+    case 4: return 1ULL << 63;
+    case 5: return ~0ULL;
+    case 6: return kMaxPayloadBytes + 1;
+    default: return ~0ULL - rng.uniform_int(256);
+  }
+}
+
+void mutate(std::vector<std::byte>& input, const std::vector<std::vector<std::byte>>& seeds,
+            util::Rng& rng) {
+  switch (rng.uniform_int(4)) {
+    case 0:  // bit-flip
+      if (!input.empty()) {
+        input[rng.uniform_int(input.size())] ^=
+            std::byte{static_cast<unsigned char>(1u << rng.uniform_int(8))};
+      }
+      break;
+    case 1:  // truncation
+      input.resize(rng.uniform_int(input.size() + 1));
+      break;
+    case 2: {  // splice: this prefix + another seed's suffix
+      const std::vector<std::byte>& other = seeds[rng.uniform_int(seeds.size())];
+      input.resize(rng.uniform_int(input.size() + 1));
+      input.insert(input.end(), other.begin() + static_cast<std::ptrdiff_t>(
+                                                    rng.uniform_int(other.size() + 1)),
+                   other.end());
+      break;
+    }
+    default: {  // overwrite a u32 or u64 at any offset with an extreme length
+      const std::size_t width = rng.bernoulli(0.5) ? 8 : 4;
+      if (input.size() < width) break;
+      const std::size_t at = rng.uniform_int(input.size() - width + 1);
+      const std::uint64_t value = extreme_length(rng);
+      for (std::size_t b = 0; b < width; ++b) {
+        input[at + b] = std::byte{static_cast<unsigned char>(value >> (8 * b))};
+      }
+      break;
+    }
+  }
+}
+
+/// Passes when `decode` returns or raises DecodeError; any other exception
+/// escaping a decoder would escape the reactor's handlers too.
+template <typename Decode>
+::testing::AssertionResult decodes_or_raises_decode_error(Decode&& decode) {
+  try {
+    decode();
+  } catch (const DecodeError&) {
+  } catch (const std::exception& e) {
+    return ::testing::AssertionFailure() << typeid(e).name() << ": " << e.what();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BinaryDecoderFuzz, MutatedFramesDecodeOrRaiseDecodeError) {
+  const std::vector<std::vector<std::byte>> seeds = fuzz_seed_frames();
+  defenses::UpdateMatrix arena;
+  arena.reset(1, kFuzzPsi, kFuzzTheta);
+  util::Rng rng{0xB17F11B5};
+  constexpr int kIterations = 50000;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    std::vector<std::byte> frame = seeds[rng.uniform_int(seeds.size())];
+    const std::uint64_t mutations = 1 + rng.uniform_int(4);
+    for (std::uint64_t m = 0; m < mutations; ++m) mutate(frame, seeds, rng);
+    // Half the time re-seal the CRC, so decode_frame also returns mutated
+    // payloads instead of stopping at the checksum.
+    if (rng.bernoulli(0.5) && frame.size() >= kFrameHeaderBytes) {
+      const std::span<const std::byte> body{frame.data() + kFrameHeaderBytes,
+                                            frame.size() - kFrameHeaderBytes};
+      util::store_trivial(frame.data() + 16, crc32(body));  // CRC field at offset 16
+    }
+    ASSERT_TRUE(decodes_or_raises_decode_error([&] { (void)decode_frame(frame); }))
+        << "decode_frame, iteration " << iteration;
+
+    const std::span<const std::byte> payload =
+        std::span<const std::byte>{frame}.subspan(std::min(frame.size(), kFrameHeaderBytes));
+    ASSERT_TRUE(decodes_or_raises_decode_error([&] { (void)decode_hello(payload); }))
+        << "decode_hello, iteration " << iteration;
+    ASSERT_TRUE(decodes_or_raises_decode_error([&] { (void)decode_round_request(payload); }))
+        << "decode_round_request, iteration " << iteration;
+    ASSERT_TRUE(decodes_or_raises_decode_error([&] { (void)decode_round_reply(payload); }))
+        << "decode_round_reply, iteration " << iteration;
+    ASSERT_TRUE(decodes_or_raises_decode_error(
+        [&] { (void)decode_round_reply_into(payload, arena.row(0)); }))
+        << "decode_round_reply_into, iteration " << iteration;
+    ASSERT_TRUE(
+        decodes_or_raises_decode_error([&] { (void)decode_telemetry_report(payload); }))
+        << "decode_telemetry_report, iteration " << iteration;
+  }
+}
+
 // ---- Full distributed federations over loopback --------------------------------
 
 struct RemoteFixture : ::testing::Test {
@@ -602,6 +817,55 @@ TEST_F(RemoteFixture, MinClientsAllowsPartialFederation) {
     EXPECT_EQ(record.sampled_clients, 1u);  // the universe shrank to who joined
     EXPECT_EQ(record.dropouts + record.timeouts + record.corrupt_frames, 0u);
   }
+}
+
+TEST_F(RemoteFixture, HostileTelemetryFrameWithoutHelloLeavesTheShardRunning) {
+  // A peer needs no Hello to send a TelemetryReport. One whose string length
+  // wraps the bounds check must count as a corrupt frame, not end the
+  // process, and the federation must still run its round afterwards.
+  HierarchicalServerConfig config;
+  config.expected_clients = 2;
+  config.clients_per_round = 2;
+  config.rounds = 1;
+  config.seed = 631;
+  HierarchicalServer server{
+      config, [] { return std::make_unique<defenses::FedAvgAggregator>(); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  obs::Registry& registry = obs::Registry::global();
+  const std::string corrupt = "net_shard_corrupt_frames_total{shard=\"0\"}";
+  const std::uint64_t corrupt0 = registry.counter_value(corrupt);
+
+  TcpStream hostile = TcpStream::connect("127.0.0.1", server.shard_port(0));
+  hostile.send_all(encode_frame({MessageType::TelemetryReport, wrapped_telemetry_payload()}));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{20};
+  while (registry.counter_value(corrupt) == corrupt0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  EXPECT_EQ(registry.counter_value(corrupt) - corrupt0, 1u);
+
+  std::vector<std::unique_ptr<fl::Client>> clients;
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> rounds_served(2, 0);
+  for (std::size_t i = 0; i < 2; ++i) {
+    clients.push_back(std::make_unique<fl::Client>(
+        static_cast<int>(i), train, partition[i], client_config(false),
+        models::ClassifierArch::Mlp, geometry, cvae_spec(), 632 + i));
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      rounds_served[i] = run_remote_client("127.0.0.1", server.shard_port(0), *clients[i]);
+    });
+  }
+  const fl::RunHistory history = server.run();
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_EQ(history.rounds.size(), 1u);
+  EXPECT_EQ(history.rounds[0].sampled_clients, 2u);
+  EXPECT_EQ(history.rounds[0].dropouts + history.rounds[0].timeouts +
+                history.rounds[0].corrupt_frames,
+            0u);
+  for (const std::size_t n : rounds_served) EXPECT_EQ(n, 1u);
 }
 
 TEST_F(RemoteFixture, StrayClientIdsAreRefusedDuringAcceptPhase) {

@@ -14,16 +14,13 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
+#include "update_rows.hpp"
+
 namespace fedguard::defenses {
 namespace {
 
-ClientUpdate make_update(int id, std::vector<float> psi, bool malicious = false) {
-  ClientUpdate update;
-  update.client_id = id;
-  update.psi = std::move(psi);
-  update.num_samples = 100;
-  update.truly_malicious = malicious;
-  return update;
+test::Row make_update(int id, std::vector<float> psi, bool malicious = false) {
+  return test::row(id, std::move(psi), 100, malicious);
 }
 
 AggregationContext zero_context(const std::vector<float>& global) {
@@ -34,7 +31,7 @@ AggregationContext zero_context(const std::vector<float>& global) {
 
 TEST(Bulyan, RobustToMinorityOutliers) {
   util::Rng rng{401};
-  std::vector<ClientUpdate> updates;
+  std::vector<test::Row> updates;
   for (int k = 0; k < 6; ++k) {
     std::vector<float> psi(8);
     for (auto& v : psi) v = 1.0f + rng.uniform_float(-0.1f, 0.1f);
@@ -46,40 +43,40 @@ TEST(Bulyan, RobustToMinorityOutliers) {
 
   BulyanAggregator bulyan{0.25};
   const std::vector<float> global(8, 0.0f);
-  const auto result = bulyan.aggregate(zero_context(global), updates);
+  const auto result = test::aggregate(bulyan, zero_context(global), updates);
   for (const float v : result.parameters) EXPECT_NEAR(v, 1.0f, 0.2f);
 }
 
 TEST(Bulyan, IdenticalUpdatesPassThrough) {
   const std::vector<float> psi{0.5f, -1.0f, 2.0f};
-  std::vector<ClientUpdate> updates;
+  std::vector<test::Row> updates;
   for (int k = 0; k < 5; ++k) updates.push_back(make_update(k, psi));
   BulyanAggregator bulyan{0.2};
   const std::vector<float> global(3, 0.0f);
-  const auto result = bulyan.aggregate(zero_context(global), updates);
+  const auto result = test::aggregate(bulyan, zero_context(global), updates);
   for (std::size_t i = 0; i < psi.size(); ++i) {
     EXPECT_NEAR(result.parameters[i], psi[i], 1e-5f);
   }
 }
 
 TEST(Bulyan, HandlesTinyCohorts) {
-  std::vector<ClientUpdate> updates;
+  std::vector<test::Row> updates;
   updates.push_back(make_update(0, {1.0f}));
   updates.push_back(make_update(1, {2.0f}));
   BulyanAggregator bulyan{0.4};
   const std::vector<float> global(1, 0.0f);
-  EXPECT_NO_THROW((void)bulyan.aggregate(zero_context(global), updates));
+  EXPECT_NO_THROW((void)test::aggregate(bulyan, zero_context(global), updates));
 }
 
 TEST(Bulyan, SelectionExcludesOutlierIds) {
-  std::vector<ClientUpdate> updates;
+  std::vector<test::Row> updates;
   for (int k = 0; k < 7; ++k) {
     updates.push_back(make_update(k, {static_cast<float>(k) * 0.01f}));
   }
   updates.push_back(make_update(7, {1e6f}, true));
   BulyanAggregator bulyan{0.2};
   const std::vector<float> global(1, 0.0f);
-  const auto result = bulyan.aggregate(zero_context(global), updates);
+  const auto result = test::aggregate(bulyan, zero_context(global), updates);
   EXPECT_TRUE(std::find(result.rejected_clients.begin(), result.rejected_clients.end(), 7) !=
               result.rejected_clients.end());
 }
@@ -112,13 +109,13 @@ struct AuxAuditFixture : ::testing::Test {
 
 TEST_F(AuxAuditFixture, RejectsPoisonedUpdates) {
   AuxiliaryAuditAggregator audit{models::ClassifierArch::Mlp, geometry, auxiliary, 0, 405};
-  std::vector<ClientUpdate> updates;
+  std::vector<test::Row> updates;
   updates.push_back(make_update(0, good_psi, false));
   updates.push_back(make_update(1, good_psi, false));
   updates.push_back(make_update(2, std::vector<float>(good_psi.size(), 1.0f), true));
   AggregationContext context = zero_context(global);
   context.round = 0;
-  const auto result = audit.aggregate(context, updates);
+  const auto result = test::aggregate(audit, context, updates);
   EXPECT_EQ(result.rejected_clients, (std::vector<int>{2}));
   EXPECT_GT(audit.last_scores()[0], audit.last_scores()[2] + 0.3);
 }
@@ -127,17 +124,17 @@ TEST_F(AuxAuditFixture, WarmupPhaseAcceptsEverything) {
   // PDGAN's initialization window: no filtering before warmup ends.
   AuxiliaryAuditAggregator audit{models::ClassifierArch::Mlp, geometry, auxiliary,
                                  /*warmup_rounds=*/3, 406};
-  std::vector<ClientUpdate> updates;
+  std::vector<test::Row> updates;
   updates.push_back(make_update(0, good_psi, false));
   updates.push_back(make_update(1, std::vector<float>(good_psi.size(), 1.0f), true));
 
   AggregationContext context = zero_context(global);
   context.round = 2;  // still inside warmup
-  auto result = audit.aggregate(context, updates);
+  auto result = test::aggregate(audit, context, updates);
   EXPECT_TRUE(result.rejected_clients.empty());
 
   context.round = 3;  // warmup over: filtering active
-  result = audit.aggregate(context, updates);
+  result = test::aggregate(audit, context, updates);
   EXPECT_EQ(result.rejected_clients, (std::vector<int>{1}));
 }
 
@@ -197,7 +194,7 @@ TEST(FedCpa, MedianGateRejectsAColludingMinorityClique) {
   // coordinate-wise median while a minority, so the consensus gate zeroes
   // their score and keep_fraction=0.5 drops all four.
   util::Rng rng{431};
-  std::vector<ClientUpdate> updates;
+  std::vector<test::Row> updates;
   for (int k = 0; k < 10; ++k) {
     std::vector<float> psi(16);
     for (auto& v : psi) v = 1.0f + rng.uniform_float(-0.2f, 0.2f);
@@ -208,7 +205,7 @@ TEST(FedCpa, MedianGateRejectsAColludingMinorityClique) {
   }
   FedCpaAggregator fedcpa{FedCpaConfig{0.5, 0.5}};
   const std::vector<float> global(16, 0.0f);
-  const auto result = fedcpa.aggregate(zero_context(global), updates);
+  const auto result = test::aggregate(fedcpa, zero_context(global), updates);
   EXPECT_EQ(result.accepted_clients.size(), 7u);
   for (const int rejected_required : {10, 11, 12, 13}) {
     EXPECT_TRUE(std::find(result.rejected_clients.begin(),

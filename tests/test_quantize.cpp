@@ -24,6 +24,8 @@
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
+#include "update_rows.hpp"
+
 namespace fedguard {
 namespace {
 
@@ -391,11 +393,9 @@ TEST(QuantizedAggregation, NanPoisonedUploadStillRejectedAfterQuantization) {
   // Quantization must not launder a NaN upload into finite garbage: the chunk
   // dequantizes to NaN and the validate_view choke point still fires.
   util::Rng rng{0x9bdull};
-  std::vector<defenses::ClientUpdate> updates(3);
+  std::vector<test::Row> updates(3);
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    updates[i].client_id = static_cast<int>(i);
-    updates[i].num_samples = 100;
-    updates[i].psi = random_values(512, rng);
+    updates[i] = test::row(static_cast<int>(i), random_values(512, rng), 100);
   }
   updates[1].psi[300] = kNan;
   for (auto& update : updates) {
@@ -406,8 +406,7 @@ TEST(QuantizedAggregation, NanPoisonedUploadStillRejectedAfterQuantization) {
   const std::vector<float> global(512, 0.0f);
   defenses::AggregationContext context;
   context.global_parameters = global;
-  EXPECT_THROW((void)fedavg.aggregate(context, std::span<const defenses::ClientUpdate>{updates}),
-               util::CheckError);
+  EXPECT_THROW((void)test::aggregate(fedavg, context, updates), util::CheckError);
 }
 
 TEST(QuantizedAggregation, KrumStillEjectsAttackersUnderQ8HonestUploads) {
@@ -416,11 +415,9 @@ TEST(QuantizedAggregation, KrumStillEjectsAttackersUnderQ8HonestUploads) {
   util::Rng rng{0x9beull};
   const std::size_t dim = 256;
   const std::vector<float> base = random_values(dim, rng, -0.5f, 0.5f);
-  std::vector<defenses::ClientUpdate> updates(8);
+  std::vector<test::Row> updates(8);
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    updates[i].client_id = static_cast<int>(i);
-    updates[i].num_samples = 100;
-    updates[i].psi = base;
+    updates[i] = test::row(static_cast<int>(i), base, 100);
   }
   for (std::size_t i = 0; i < 6; ++i) {  // honest: base + small local noise, then q8
     for (auto& v : updates[i].psi) {
@@ -429,15 +426,14 @@ TEST(QuantizedAggregation, KrumStillEjectsAttackersUnderQ8HonestUploads) {
     util::quantize_roundtrip_q8(updates[i].psi, 64);
   }
   for (std::size_t i = 6; i < 8; ++i) {  // attackers: same-value poisoning, fp32
-    updates[i].truly_malicious = true;
+    updates[i].malicious = true;
     std::fill(updates[i].psi.begin(), updates[i].psi.end(), 5.0f);
   }
   defenses::KrumAggregator krum{0.25, 3};
   const std::vector<float> global(dim, 0.0f);
   defenses::AggregationContext context;
   context.global_parameters = global;
-  const defenses::AggregationResult result =
-      krum.aggregate(context, std::span<const defenses::ClientUpdate>{updates});
+  const defenses::AggregationResult result = test::aggregate(krum, context, updates);
   for (const int attacker : {6, 7}) {
     EXPECT_NE(std::find(result.rejected_clients.begin(), result.rejected_clients.end(),
                         attacker),

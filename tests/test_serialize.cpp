@@ -45,6 +45,30 @@ TEST(Serialize, ReaderUnderrunThrows) {
   EXPECT_THROW((void)reader.read_u64(), std::out_of_range);
 }
 
+TEST(Serialize, WrappedStringLengthIsAnUnderrun) {
+  // At offset 48, a length of 2^64 - 41 makes offset + length wrap to 7,
+  // which is inside the buffer; the reader must still refuse it.
+  ByteWriter writer;
+  for (int i = 0; i < 6; ++i) writer.write_u64(0);
+  writer.write_u64(~0ULL - 40);
+  writer.write_u64(0);
+  ByteReader reader{writer.bytes()};
+  for (int i = 0; i < 6; ++i) (void)reader.read_u64();
+  EXPECT_THROW((void)reader.read_string(), std::out_of_range);
+}
+
+TEST(Serialize, WrappedFloatCountIsAnUnderrun) {
+  // 2^62 + 1 floats is 2^64 + 4 bytes: the byte count wraps to 4, which
+  // the buffer holds.
+  ByteWriter writer;
+  writer.write_f32(1.0f);
+  writer.write_f32(2.0f);
+  ByteReader reader{writer.bytes()};
+  EXPECT_THROW((void)reader.read_f32_vector((std::size_t{1} << 62) + 1), std::out_of_range);
+  EXPECT_THROW((void)reader.read_f32_vector(~std::size_t{0}), std::out_of_range);
+  EXPECT_EQ(reader.read_f32_vector(2), (std::vector<float>{1.0f, 2.0f}));
+}
+
 TEST(Serialize, FileRoundTrip) {
   const std::string path = std::filesystem::temp_directory_path() / "fedguard_vec_test.bin";
   const std::vector<float> values{0.5f, 1.5f, -2.0f};

@@ -7,6 +7,8 @@
 #include "data/synthetic_mnist.hpp"
 #include "util/stats.hpp"
 
+#include "update_rows.hpp"
+
 namespace fedguard::defenses {
 namespace {
 
@@ -40,11 +42,7 @@ class SpectralTest : public ::testing::Test {
         const auto batch = train.gather(idx);
         classifier.train_batch(batch.images, batch.labels, 0.1f, 0.9f);
       }
-      ClientUpdate update;
-      update.client_id = k;
-      update.psi = classifier.parameters_flat();
-      update.num_samples = train.size();
-      benign_.push_back(std::move(update));
+      benign_.push_back(test::row(k, classifier.parameters_flat(), train.size()));
     }
   }
 
@@ -58,42 +56,42 @@ class SpectralTest : public ::testing::Test {
   data::Dataset auxiliary_;
   std::unique_ptr<SpectralAggregator> aggregator_;
   std::vector<float> global_;
-  std::vector<ClientUpdate> benign_;
+  std::vector<test::Row> benign_;
 };
 
 TEST_F(SpectralTest, PretrainsLazilyOnFirstRound) {
   EXPECT_FALSE(aggregator_->pretrained());
-  (void)aggregator_->aggregate(context(), benign_);
+  (void)test::aggregate(*aggregator_, context(), benign_);
   EXPECT_TRUE(aggregator_->pretrained());
   EXPECT_EQ(aggregator_->last_errors().size(), benign_.size());
 }
 
 TEST_F(SpectralTest, GrossOutlierGetsHighestErrorAndIsRejected) {
-  std::vector<ClientUpdate> updates = benign_;
-  ClientUpdate poisoned = benign_.front();
-  poisoned.client_id = 99;
-  poisoned.truly_malicious = true;
+  std::vector<test::Row> updates = benign_;
+  test::Row poisoned = benign_.front();
+  poisoned.id = 99;
+  poisoned.malicious = true;
   std::fill(poisoned.psi.begin(), poisoned.psi.end(), 1.0f);  // same-value attack
   updates.push_back(poisoned);
 
-  const auto result = aggregator_->aggregate(context(), updates);
+  const auto result = test::aggregate(*aggregator_, context(), updates);
   const auto& errors = aggregator_->last_errors();
   const std::size_t worst = static_cast<std::size_t>(
       std::max_element(errors.begin(), errors.end()) - errors.begin());
-  EXPECT_EQ(updates[worst].client_id, 99);
+  EXPECT_EQ(updates[worst].id, 99);
   EXPECT_TRUE(std::find(result.rejected_clients.begin(), result.rejected_clients.end(),
                         99) != result.rejected_clients.end());
 }
 
 TEST_F(SpectralTest, AggregateReturnsCorrectDimension) {
-  const auto result = aggregator_->aggregate(context(), benign_);
+  const auto result = test::aggregate(*aggregator_, context(), benign_);
   EXPECT_EQ(result.parameters.size(), global_.size());
   EXPECT_EQ(result.accepted_clients.size() + result.rejected_clients.size(),
             benign_.size());
 }
 
 TEST_F(SpectralTest, MeanThresholdNeverRejectsEverything) {
-  const auto result = aggregator_->aggregate(context(), benign_);
+  const auto result = test::aggregate(*aggregator_, context(), benign_);
   EXPECT_FALSE(result.accepted_clients.empty());
 }
 

@@ -3,7 +3,7 @@
 // disabled) must reproduce these run histories bit-for-bit — accuracies (exact double bits),
 // sampling/rejection counts, traffic bytes, and a hash of the final global
 // parameter vector. The goldens were captured from the pre-arena pipeline
-// (per-update ClientUpdate vectors, per-strategy re-concatenation), so any
+// (an owned vector per update, per-strategy re-concatenation), so any
 // refactor of the update path that changes a single RNG draw or float
 // summation order fails here.
 //
