@@ -60,10 +60,9 @@ BENCHMARK(BM_Matmul)
     ->Unit(benchmark::kMicrosecond);
 
 // Per-ISA-tier GEMM rows: the same 256^3 single-thread shape pinned to each
-// kernel tier this CPU supports, so BENCH_kernels.json tracks the SIMD
-// speedup (acceptance bar: widest tier >= 2x the serial GFLOP/s). The tier
-// is encoded as an op-name suffix (BM_Matmul_serial / _avx2 / _avx512);
-// merge_kernel_bench.py turns it into the kernel_arch record field.
+// kernel tier this CPU supports, so the report shows the SIMD speedup
+// (acceptance bar: widest tier >= 2x the serial GFLOP/s). The tier is
+// encoded as a benchmark-name suffix (BM_Matmul_serial / _avx2 / _avx512).
 void BM_MatmulKernelArch(benchmark::State& state, tensor::kernels::KernelArch arch) {
   const auto n = static_cast<std::size_t>(state.range(0));
   set_kernel_threads(static_cast<std::size_t>(state.range(1)));

@@ -6,15 +6,13 @@
 // socket and answers each RoundRequest with a canned RoundReply (encoded once
 // per round, shared across the fleet) — no local training, so the measured
 // cost is connection handling and frame fan-in/fan-out, which is what the
-// reactor refactor changes. Results go to BENCH_reactor.json via
-// scripts/run_all_benches.sh.
+// reactor refactor changes. Results are printed, one line per scenario.
 //
 // Flags (core::CliOptions --key value):
 //   --clients N   fleet size (default 2048)
 //   --shards S    shard count of the two-tier scenario (default 4)
 //   --rounds R    rounds per scenario (default 2)
 //   --seed S      (default 42)
-//   --out PATH    JSON artifact (default BENCH_reactor.json)
 //   --quiet       suppress per-round logging
 
 #include <atomic>
@@ -168,32 +166,6 @@ ScenarioResult run_sharded(std::size_t clients, std::size_t shards, std::size_t 
                    history, total);
 }
 
-std::string fmt(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.4f", value);
-  return buffer;
-}
-
-std::string to_json(const std::vector<ScenarioResult>& results) {
-  std::string out;
-  out += "{\n  \"schema\": \"fedguard-reactor-bench-v1\",\n  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    out += "    {\"topology\": \"" + r.topology + "\",";
-    out += " \"shards\": " + std::to_string(r.shards) + ",";
-    out += " \"clients\": " + std::to_string(r.clients) + ",";
-    out += " \"rounds\": " + std::to_string(r.rounds) + ",";
-    out += " \"completed\": " + std::string{r.completed ? "true" : "false"} + ",\n";
-    out += "     \"total_seconds\": " + fmt(r.total_seconds) + ",";
-    out += " \"mean_round_seconds\": " + fmt(r.mean_round_seconds) + ",";
-    out += " \"replies_per_second\": " + fmt(r.replies_per_second) + ",";
-    out += " \"stragglers\": " + std::to_string(r.stragglers) + "}";
-    out += i + 1 < results.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -202,7 +174,6 @@ int main(int argc, char** argv) {
   const auto shards = static_cast<std::size_t>(options.get_int("shards", 4));
   const auto rounds = static_cast<std::size_t>(options.get_int("rounds", 2));
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 42));
-  const std::string out_path = options.get("out", "BENCH_reactor.json");
   if (options.has("quiet")) util::set_log_level(util::LogLevel::Warn);
 
   // Tiny eval task: the bench measures connection scaling, not learning.
@@ -225,15 +196,5 @@ int main(int argc, char** argv) {
                 r.completed ? "" : "  [INCOMPLETE]");
     ok = ok && r.completed && r.stragglers == 0;
   }
-
-  std::FILE* file = std::fopen(out_path.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 2;
-  }
-  const std::string json = to_json(results);
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  std::printf("connection-scaling numbers written to %s\n", out_path.c_str());
   return ok ? 0 : 1;
 }

@@ -8,8 +8,8 @@
 // BM_BulyanElimination isolates Bulyan's stage-1 elimination loop, whose old
 // implementation rebuilt the remaining [n, dim] point matrix once per
 // iteration (quadratic copying); the view path rebuilds only the O(n) row
-// index list. Numbers land in BENCH_update_pipeline.json via
-// scripts/run_all_benches.sh (see docs/PERFORMANCE.md).
+// index list. The numbers are google-benchmark's console report (see
+// docs/PERFORMANCE.md).
 
 #include <benchmark/benchmark.h>
 

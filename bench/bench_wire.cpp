@@ -1,9 +1,8 @@
 // ψ wire-codec micro-bench: encode/decode cost and bytes-per-round for the
 // three reply codecs (fp32 / q8 / fp16) at the paper's Table V traffic shape
-// — m = 50 clients per round, ψ ≈ 100k parameters. run_all_benches.sh merges
-// the JSON report into BENCH_wire.json; the wire_* counters carry the
-// byte accounting (per ψ, per round, and the compression ratio vs fp32),
-// which must agree with the traffic meters in fl::Server (which charges
+// — m = 50 clients per round, ψ ≈ 100k parameters. The wire_* counters in
+// the report carry the byte accounting (per ψ, per round, and the
+// compression ratio vs fp32), which must agree with the traffic meters in fl::Server (which charges
 // util::codec_span_wire_size for the ψ direction) and, up to frame headers,
 // net::HierarchicalServer (which charges the RoundReply frames it receives).
 

@@ -4,19 +4,20 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "util/serialize.hpp"
-
 namespace fedguard::data {
 
 namespace {
 
+// IDX is unsigned bytes; iostreams read char, so widen through unsigned char.
+std::uint32_t byte_at(const char* bytes, std::size_t i) {
+  return static_cast<unsigned char>(bytes[i]);
+}
+
 std::uint32_t read_be_u32(std::istream& in) {
-  std::byte bytes[4];
-  if (!util::read_bytes(in, bytes)) throw std::runtime_error{"idx: truncated header"};
-  return (std::to_integer<std::uint32_t>(bytes[0]) << 24) |
-         (std::to_integer<std::uint32_t>(bytes[1]) << 16) |
-         (std::to_integer<std::uint32_t>(bytes[2]) << 8) |
-         std::to_integer<std::uint32_t>(bytes[3]);
+  char bytes[4];
+  if (!in.read(bytes, sizeof(bytes))) throw std::runtime_error{"idx: truncated header"};
+  return (byte_at(bytes, 0) << 24) | (byte_at(bytes, 1) << 16) | (byte_at(bytes, 2) << 8) |
+         byte_at(bytes, 3);
 }
 
 constexpr std::uint32_t kImagesMagic = 0x00000803;
@@ -48,24 +49,24 @@ Dataset load_idx_dataset(const std::string& images_path, const std::string& labe
 
   const std::size_t pixels = static_cast<std::size_t>(rows) * cols;
   tensor::Tensor images{{image_count, 1, rows, cols}};
-  std::vector<std::byte> row_buffer(pixels);
+  std::vector<char> row_buffer(pixels);
   for (std::size_t n = 0; n < image_count; ++n) {
-    if (!util::read_bytes(images_file, row_buffer)) {
+    if (!images_file.read(row_buffer.data(), static_cast<std::streamsize>(pixels))) {
       throw std::runtime_error{"idx: truncated image data"};
     }
     float* dst = images.raw() + n * pixels;
     for (std::size_t i = 0; i < pixels; ++i) {
-      dst[i] = static_cast<float>(std::to_integer<unsigned>(row_buffer[i])) / 255.0f;
+      dst[i] = static_cast<float>(byte_at(row_buffer.data(), i)) / 255.0f;
     }
   }
 
   std::vector<int> labels(image_count);
-  std::vector<std::byte> label_buffer(image_count);
-  if (!util::read_bytes(labels_file, label_buffer)) {
+  std::vector<char> label_buffer(image_count);
+  if (!labels_file.read(label_buffer.data(), static_cast<std::streamsize>(image_count))) {
     throw std::runtime_error{"idx: truncated label data"};
   }
   for (std::size_t i = 0; i < image_count; ++i) {
-    labels[i] = std::to_integer<int>(label_buffer[i]);
+    labels[i] = static_cast<int>(byte_at(label_buffer.data(), i));
   }
 
   return Dataset{std::move(images), std::move(labels), num_classes};

@@ -1,6 +1,5 @@
 #include "defenses/aggregation.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -228,7 +227,7 @@ std::vector<float> weighted_mean(const UpdateView& updates) {
 
 void mean_of_into(const UpdateView& updates, std::span<const std::size_t> selected,
                   std::vector<double>& accumulator, std::vector<float>& out) {
-  if (selected.empty()) throw std::invalid_argument{"mean_of: empty selection"};
+  if (selected.empty()) throw std::invalid_argument{"mean_of_into: empty selection"};
   const std::size_t dim = updates.psi_dim();
   accumulator.assign(dim, 0.0);
   for (const std::size_t k : selected) {
@@ -238,29 +237,6 @@ void mean_of_into(const UpdateView& updates, std::span<const std::size_t> select
   out.resize(dim);
   const double inv = 1.0 / static_cast<double>(selected.size());
   for (std::size_t i = 0; i < dim; ++i) out[i] = static_cast<float>(accumulator[i] * inv);
-}
-
-std::vector<float> mean_of(const UpdateView& updates, std::span<const std::size_t> selected) {
-  std::vector<double> accumulator;
-  std::vector<float> out;
-  mean_of_into(updates, selected, accumulator, out);
-  return out;
-}
-
-DetectionStats compute_detection_stats(const UpdateView& updates,
-                                       const AggregationResult& result) {
-  const std::vector<int>& rejected = result.rejected_clients;
-  DetectionStats stats;
-  for (std::size_t k = 0; k < updates.count(); ++k) {
-    const UpdateMeta& meta = updates.meta(k);
-    const bool was_rejected =
-        std::find(rejected.begin(), rejected.end(), meta.client_id) != rejected.end();
-    if (meta.truly_malicious && was_rejected) ++stats.true_positives;
-    else if (meta.truly_malicious) ++stats.false_negatives;
-    else if (was_rejected) ++stats.false_positives;
-    else ++stats.true_negatives;
-  }
-  return stats;
 }
 
 }  // namespace fedguard::defenses

@@ -185,23 +185,11 @@ void weighted_mean_into(const UpdateView& updates, std::vector<double>& accumula
 /// caller-given slot order.
 void mean_of_into(const UpdateView& updates, std::span<const std::size_t> selected,
                   std::vector<double>& accumulator, std::vector<float>& out);
-[[nodiscard]] std::vector<float> mean_of(const UpdateView& updates,
-                                         std::span<const std::size_t> selected);
 
 /// Throws std::invalid_argument unless the view is non-empty with a non-zero
 /// dimension, and (in FEDGUARD_ASSERTS builds) util::CheckError unless every
 /// row is finite; returns the dimension. This is the single boundary at which
 /// a NaN/Inf-poisoned upload is rejected before it can reach an accumulator.
 std::size_t validate_view(const UpdateView& updates);
-
-/// Detection quality of a round's accept/reject split against ground truth.
-struct DetectionStats {
-  std::size_t true_positives = 0;   // malicious rejected
-  std::size_t false_positives = 0;  // benign rejected
-  std::size_t true_negatives = 0;   // benign accepted
-  std::size_t false_negatives = 0;  // malicious accepted
-};
-[[nodiscard]] DetectionStats compute_detection_stats(const UpdateView& updates,
-                                                     const AggregationResult& result);
 
 }  // namespace fedguard::defenses

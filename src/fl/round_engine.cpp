@@ -53,15 +53,6 @@ RoundEngine::RoundEngine(RoundEngineConfig config,
   global_parameters_ = eval_classifier_->parameters_flat();
 }
 
-void RoundEngine::set_global_parameters(std::vector<float> parameters) {
-  if (parameters.size() != global_parameters_.size()) {
-    throw std::runtime_error{"RoundEngine: global parameter dimension mismatch (" +
-                             std::to_string(parameters.size()) + " vs " +
-                             std::to_string(global_parameters_.size()) + ")"};
-  }
-  global_parameters_ = std::move(parameters);
-}
-
 RoundRecord RoundEngine::run_round(std::size_t round, std::span<const int> universe,
                                    RoundCollector& collector) {
   // Round timing and span durations share obs::now_ns() (one steady clock),

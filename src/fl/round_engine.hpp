@@ -124,8 +124,6 @@ class RoundEngine {
   [[nodiscard]] std::span<const float> global_parameters() const noexcept {
     return global_parameters_;
   }
-  /// Replace ψ0 (checkpoint restore); the dimension must match.
-  void set_global_parameters(std::vector<float> parameters);
 
   /// Accuracy of ψ0 on the test set.
   [[nodiscard]] double evaluate_global();

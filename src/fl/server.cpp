@@ -138,14 +138,6 @@ bool Server::collect(const RoundPlan& plan, std::vector<defenses::ShardPartial>&
   return false;
 }
 
-void Server::save_global(const std::string& path) const {
-  util::save_f32_vector(path, engine_.global_parameters());
-}
-
-void Server::load_global(const std::string& path) {
-  engine_.set_global_parameters(util::load_f32_vector(path));
-}
-
 RunHistory Server::run() {
   RunHistory history;
   history.strategy = strategy_.name();

@@ -80,13 +80,6 @@ class Server : private RoundCollector {
   /// Per-class recall of the current global model on the test set.
   [[nodiscard]] std::vector<double> evaluate_per_class();
 
-  /// Persist the current global parameter vector (resume long runs / deploy
-  /// the trained model). Throws std::runtime_error on I/O failure.
-  void save_global(const std::string& path) const;
-  /// Restore a global parameter vector saved by save_global; dimension must
-  /// match the configured architecture.
-  void load_global(const std::string& path);
-
  private:
   /// In-process collector: stragglers, pool-filled arena rows, per-cohort
   /// partial aggregation.

@@ -251,13 +251,13 @@ std::size_t decode_round_reply_into(std::span<const std::byte> payload,
     }
     read_psi_span(reader, psi_codec, row.psi);
     const auto theta_count = static_cast<std::size_t>(reader.read_u64());
-    row.meta->theta_count = theta_count;
-    if (theta_count > row.theta.size()) {
+    if (theta_count != row.theta.size()) {
       throw DecodeError{DecodeErrorCode::BadShape,
                         "decode_round_reply_into: theta count " + std::to_string(theta_count) +
-                            " exceeds capacity " + std::to_string(row.theta.size())};
+                            " != expected " + std::to_string(row.theta.size())};
     }
-    reader.read_f32_into(row.theta.subspan(0, theta_count));
+    row.meta->theta_count = theta_count;
+    reader.read_f32_into(row.theta);
     return round;
   } catch (const std::out_of_range&) {
     throw DecodeError{DecodeErrorCode::Truncated,

@@ -1,10 +1,53 @@
 #include "net/telemetry_relay.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
 namespace fedguard::net {
+
+namespace {
+
+/// Consume a leading `[a-zA-Z_][a-zA-Z0-9_]*` identifier, with ':' allowed
+/// anywhere when `allow_colon` (metric names; label names have none).
+bool take_identifier(std::string_view& text, bool allow_colon) {
+  std::size_t end = 0;
+  for (; end < text.size(); ++end) {
+    const char c = text[end];
+    const bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+                        (allow_colon && c == ':');
+    if (!letter && !(end > 0 && c >= '0' && c <= '9')) break;
+  }
+  text.remove_prefix(end);
+  return end > 0;
+}
+
+/// A Prometheus series a relay may write to the exposition verbatim: a
+/// metric name, optionally followed by one non-empty `{k="v",...}` block
+/// whose values hold no `"`, `\` or newline. Anything else could break out
+/// of its line in prometheus_text (a peer-chosen name is written raw).
+bool is_relayable_series_name(std::string_view text) {
+  if (!take_identifier(text, true)) return false;
+  if (text.empty()) return true;
+  if (text.front() != '{') return false;
+  text.remove_prefix(1);
+  for (;;) {
+    if (!take_identifier(text, false) || text.size() < 2 || text[0] != '=' ||
+        text[1] != '"') {
+      return false;
+    }
+    text.remove_prefix(2);
+    const std::size_t close = text.find_first_of("\"\\\n");
+    if (close == std::string_view::npos || text[close] != '"') return false;
+    text.remove_prefix(close + 1);
+    if (text == "}") return true;
+    if (text.empty() || text.front() != ',') return false;
+    text.remove_prefix(1);
+  }
+}
+
+}  // namespace
 
 TelemetryFrame build_telemetry_report(
     obs::TraceSession& session, std::uint32_t sender_pid,
@@ -81,6 +124,10 @@ std::size_t ingest_telemetry_report(const TelemetryFrame& report,
       !records.empty() && obs::ingest_into_active_session(records);
   auto& registry = obs::Registry::global();
   for (const auto& [name, delta] : report.counter_deltas) {
+    if (!is_relayable_series_name(name)) {
+      registry.counter("net_telemetry_dropped_names_total").add(1);
+      continue;
+    }
     registry.counter(with_origin_label(name, report.sender_id)).add(delta);
   }
   return ingested ? records.size() : 0;

@@ -46,7 +46,11 @@ namespace fedguard::net {
 
 /// Consumer side: rebase + ingest the report's events into the active
 /// TraceSession (no-op without one) and re-register its counter deltas under
-/// an origin label. Returns the number of trace events ingested.
+/// an origin label. A delta whose name is not a Prometheus series
+/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`, optionally one `{k="v",...}` block whose
+/// values hold no `"`, `\` or newline) is dropped and counted in
+/// net_telemetry_dropped_names_total: the name reaches the exposition raw.
+/// Returns the number of trace events ingested.
 std::size_t ingest_telemetry_report(const TelemetryFrame& report,
                                     std::uint64_t arrival_ns);
 

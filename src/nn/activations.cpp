@@ -53,24 +53,4 @@ tensor::Tensor Sigmoid::backward(const tensor::Tensor& grad_output) {
   return grad_input;
 }
 
-tensor::Tensor Tanh::forward(const tensor::Tensor& input) {
-  output_ = tensor::Tensor{input.shape()};
-  const auto in = input.data();
-  auto dst = output_.data();
-  for (std::size_t i = 0; i < in.size(); ++i) dst[i] = std::tanh(in[i]);
-  return output_;
-}
-
-tensor::Tensor Tanh::backward(const tensor::Tensor& grad_output) {
-  if (!grad_output.same_shape(output_)) {
-    throw std::invalid_argument{"Tanh::backward: gradient shape mismatch"};
-  }
-  tensor::Tensor grad_input{grad_output.shape()};
-  const auto go = grad_output.data();
-  const auto y = output_.data();
-  auto dst = grad_input.data();
-  for (std::size_t i = 0; i < go.size(); ++i) dst[i] = go[i] * (1.0f - y[i] * y[i]);
-  return grad_input;
-}
-
 }  // namespace fedguard::nn

@@ -25,14 +25,4 @@ class Sigmoid final : public Module {
   tensor::Tensor output_;  // sigmoid(x), reused in the gradient
 };
 
-class Tanh final : public Module {
- public:
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  [[nodiscard]] std::string name() const override { return "Tanh"; }
-
- private:
-  tensor::Tensor output_;
-};
-
 }  // namespace fedguard::nn

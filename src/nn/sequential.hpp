@@ -27,7 +27,6 @@ class Sequential final : public Module {
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
-  void set_training(bool training) override;
 
   [[nodiscard]] std::string name() const override { return "Sequential"; }
   [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }

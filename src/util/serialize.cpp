@@ -1,12 +1,9 @@
 #include "util/serialize.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <ostream>
 
 namespace fedguard::util {
 
@@ -139,20 +136,6 @@ float f16_bits_to_f32(std::uint16_t bits) noexcept {
   float value = 0.0F;
   std::memcpy(&value, &f, sizeof(value));
   return value;
-}
-
-void write_bytes(std::ostream& out, std::span<const std::byte> bytes) {
-  if (bytes.empty()) return;  // empty span has a null data(); never pass it on
-  // The one sanctioned byte-pointer cast: char aliases anything.
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-bool read_bytes(std::istream& in, std::span<std::byte> bytes) {
-  if (bytes.empty()) return static_cast<bool>(in);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(in);
 }
 
 void ByteWriter::write_u32(std::uint32_t value) { append_raw(buffer_, value); }
@@ -317,35 +300,6 @@ void quantize_roundtrip(WireCodec codec, std::span<float> values, std::size_t ch
     case WireCodec::Fp16: quantize_roundtrip_f16(values); break;
     case WireCodec::Fp32: break;
   }
-}
-
-void save_f32_vector(const std::string& path, std::span<const float> values) {
-  std::ofstream file{path, std::ios::binary | std::ios::trunc};
-  if (!file) throw std::runtime_error{"save_f32_vector: cannot open " + path};
-  std::vector<std::byte> buffer(sizeof(std::uint64_t) + values.size_bytes());
-  store_trivial(buffer.data(), static_cast<std::uint64_t>(values.size()));
-  if (!values.empty()) {
-    std::memcpy(buffer.data() + sizeof(std::uint64_t), values.data(), values.size_bytes());
-  }
-  write_bytes(file, buffer);
-  if (!file) throw std::runtime_error{"save_f32_vector: write failed for " + path};
-}
-
-std::vector<float> load_f32_vector(const std::string& path) {
-  std::ifstream file{path, std::ios::binary};
-  if (!file) throw std::runtime_error{"load_f32_vector: cannot open " + path};
-  std::array<std::byte, sizeof(std::uint64_t)> header{};
-  if (!read_bytes(file, header)) {
-    throw std::runtime_error{"load_f32_vector: truncated file " + path};
-  }
-  const auto count = static_cast<std::size_t>(load_trivial<std::uint64_t>(header.data()));
-  std::vector<std::byte> payload(count * sizeof(float));
-  if (!read_bytes(file, payload)) {
-    throw std::runtime_error{"load_f32_vector: truncated file " + path};
-  }
-  std::vector<float> out(count);
-  if (count != 0) std::memcpy(out.data(), payload.data(), payload.size());
-  return out;
 }
 
 }  // namespace fedguard::util

@@ -1,12 +1,11 @@
 #pragma once
 // Little-endian binary serialization primitives used for model parameter
-// transfer and checkpointing. The traffic meter charges transfers at exactly
-// the size these writers produce.
+// transfer. The traffic meter charges transfers at exactly the size these
+// writers produce.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -53,17 +52,6 @@ template <typename T>
 void store_trivial(std::byte* target, const T& value) noexcept {
   std::memcpy(target, &value, sizeof(T));
 }
-
-// ---- iostream bridging --------------------------------------------------------
-// std::iostream speaks char*; the single sanctioned byte-pointer cast in the
-// library lives inside these two helpers (std::byte <-> char aliasing is
-// always valid), so no other translation unit needs a reinterpret_cast for
-// file framing.
-
-/// Write a byte span to a binary stream.
-void write_bytes(std::ostream& out, std::span<const std::byte> bytes);
-/// Read exactly `bytes.size()` bytes; returns false on short read / error.
-[[nodiscard]] bool read_bytes(std::istream& in, std::span<std::byte> bytes);
 
 /// Growable binary output buffer.
 class ByteWriter {
@@ -167,10 +155,5 @@ void quantize_roundtrip(WireCodec codec, std::span<float> values, std::size_t ch
 /// inf, NaN payloads collapsed to a quiet NaN).
 [[nodiscard]] std::uint16_t f32_to_f16_bits(float value) noexcept;
 [[nodiscard]] float f16_bits_to_f32(std::uint16_t bits) noexcept;
-
-/// Write a float vector to a file (length-prefixed). Throws on I/O error.
-void save_f32_vector(const std::string& path, std::span<const float> values);
-/// Read a float vector written by save_f32_vector. Throws on I/O error.
-[[nodiscard]] std::vector<float> load_f32_vector(const std::string& path);
 
 }  // namespace fedguard::util

@@ -9,6 +9,7 @@
 #include "defenses/median.hpp"
 #include "defenses/norm_threshold.hpp"
 #include "defenses/trimmed_mean.hpp"
+#include "fl/round_engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -223,20 +224,22 @@ TEST(NormThreshold, SignFlipDefeatsIt) {
   EXPECT_NEAR(result.parameters[0], 0.0f, 1e-5f);  // attack cancelled the signal
 }
 
-TEST(DetectionStats, ConfusionMatrix) {
+TEST(TallyRejections, CountsRejectedRowsByGroundTruth) {
   Rows updates;
-  updates.push_back(row(0, {1.0f}, 1, true));    // rejected -> TP
-  updates.push_back(row(1, {1.0f}, 1, true));    // accepted -> FN
-  updates.push_back(row(2, {1.0f}, 1, false));   // rejected -> FP
-  updates.push_back(row(3, {1.0f}, 1, false));   // accepted -> TN
-  AggregationResult result;
-  result.rejected_clients = {0, 2};
-  result.accepted_clients = {1, 3};
-  const DetectionStats stats = test::detection_stats(updates, result);
-  EXPECT_EQ(stats.true_positives, 1u);
-  EXPECT_EQ(stats.false_negatives, 1u);
-  EXPECT_EQ(stats.false_positives, 1u);
-  EXPECT_EQ(stats.true_negatives, 1u);
+  updates.push_back(row(0, {1.0f}, 1, true));    // rejected -> malicious
+  updates.push_back(row(1, {1.0f}, 1, true));    // accepted -> neither
+  updates.push_back(row(2, {1.0f}, 1, false));   // rejected -> benign
+  updates.push_back(row(3, {1.0f}, 1, false));   // accepted -> neither
+  ShardPartial partial;
+  partial.rejected_clients = {0, 2};
+  partial.accepted_clients = {1, 3};
+  const UpdateMatrix arena = test::matrix_of(updates);
+  // The tally adds to what the caller already holds (one call per cohort).
+  std::size_t malicious = 10;
+  std::size_t benign = 20;
+  fl::tally_rejections(UpdateView{arena}, partial, malicious, benign);
+  EXPECT_EQ(malicious, 11u);
+  EXPECT_EQ(benign, 21u);
 }
 
 // ---- Property sweeps: invariances every aggregation operator must satisfy ----
@@ -319,7 +322,9 @@ TEST(UpdateViewApi, MeanOfEmptySelectionThrows) {
   updates.push_back(row(0, {1.0f, 2.0f}));
   const UpdateMatrix arena = test::matrix_of(updates);
   const UpdateView view{arena};
-  EXPECT_THROW((void)mean_of(view, {}), std::invalid_argument);
+  std::vector<double> accumulator;
+  std::vector<float> out;
+  EXPECT_THROW(mean_of_into(view, {}, accumulator, out), std::invalid_argument);
 }
 
 TEST(UpdateViewApi, WeightedMeanZeroSamplesFallsBackToUnweighted) {
@@ -340,7 +345,9 @@ TEST(UpdateViewApi, SingleRowSelectionReturnsThatRow) {
   const UpdateView view{arena};
 
   const std::vector<std::size_t> only{1};
-  const std::vector<float> picked = mean_of(view, only);
+  std::vector<double> accumulator;
+  std::vector<float> picked;
+  mean_of_into(view, only, accumulator, picked);
   EXPECT_FLOAT_EQ(picked[0], 7.0f);
   EXPECT_FLOAT_EQ(picked[1], 9.0f);
 
@@ -375,7 +382,7 @@ TEST(UpdateViewApi, ComposedSelectionIndexesThroughParentView) {
 }
 
 TEST(UpdateViewApi, MeanOfIteratesSelectionOrder) {
-  // mean_of must accumulate in the caller-given order (Krum passes its
+  // mean_of_into must accumulate in the caller-given order (Krum passes its
   // score-sorted order; bit-for-bit parity depends on it). With doubles the
   // sum is order-sensitive only through rounding, so instead verify the
   // selection indirection itself by selecting the same row twice.
@@ -384,10 +391,15 @@ TEST(UpdateViewApi, MeanOfIteratesSelectionOrder) {
   updates.push_back(row(1, {4.0f}, 1));
   const UpdateMatrix arena = test::matrix_of(updates);
   const UpdateView view{arena};
+  std::vector<double> accumulator;
+  std::vector<float> out;
   const std::vector<std::size_t> twice{1, 1};
-  EXPECT_FLOAT_EQ(mean_of(view, twice)[0], 4.0f);
+  mean_of_into(view, twice, accumulator, out);
+  EXPECT_FLOAT_EQ(out[0], 4.0f);
+  // The scratch is reused: a second call must not see the first's sums.
   const std::vector<std::size_t> both{1, 0};
-  EXPECT_FLOAT_EQ(mean_of(view, both)[0], 2.5f);
+  mean_of_into(view, both, accumulator, out);
+  EXPECT_FLOAT_EQ(out[0], 2.5f);
 }
 
 }  // namespace

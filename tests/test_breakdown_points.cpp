@@ -16,6 +16,7 @@
 #include "defenses/krum.hpp"
 #include "defenses/median.hpp"
 #include "defenses/trimmed_mean.hpp"
+#include "fl/round_engine.hpp"
 #include "scenario/matrix.hpp"
 #include "scenario/runner.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
@@ -218,12 +219,18 @@ TEST(CovertBreakdown, FedCpaEjectsTheMirroredClique) {
   AggregationContext context;
   const std::vector<float> global(kDim, 0.0f);
   context.global_parameters = global;
-  const auto result = test::aggregate(fedcpa, context, updates);
-  const auto stats = test::detection_stats(updates, result);
+  // The round path: one cohort's partial, tallied as the round record is.
+  const UpdateMatrix arena = test::matrix_of(updates);
+  const UpdateView cohort{arena};
+  ShardPartial partial;
+  fedcpa.partial_aggregate_into(context, cohort, 0, partial);
+  std::size_t rejected_malicious = 0;
+  std::size_t rejected_benign = 0;
+  fl::tally_rejections(cohort, partial, rejected_malicious, rejected_benign);
   // keep_fraction 0.5 rejects 10 of 20: all 6 mirrored attackers must be in
   // the rejected half (their consensus-gated similarity clamps to zero).
-  EXPECT_EQ(stats.false_negatives, 0u);
-  EXPECT_EQ(stats.true_positives, 6u);
+  EXPECT_EQ(rejected_malicious, 6u);
+  EXPECT_EQ(rejected_malicious + rejected_benign, partial.rejected_clients.size());
 }
 
 /// Krum-evading cohort: benign updates scatter widely around the consensus at

@@ -18,6 +18,7 @@
 #include "net/remote.hpp"
 #include "net/shard.hpp"
 #include "net/telemetry_http.hpp"
+#include "net/telemetry_relay.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
@@ -205,6 +206,69 @@ TEST(Messages, OwnedReplyRejectsAPsiCountBeyondThePayload) {
   const std::vector<std::byte> payload = writer.bytes();
   EXPECT_EQ(decode_error_code([&] { (void)decode_round_reply(payload); }),
             DecodeErrorCode::Truncated);
+}
+
+TEST(Messages, ReplyThetaMustMatchTheRowExactly) {
+  // The shard sizes θ from the request it sent: a θ one float short or long
+  // is the wrong model shape, not a shorter decoder.
+  defenses::UpdateMatrix arena;
+  arena.reset(1, 2, 4);
+  for (const std::size_t theta_count : {std::size_t{3}, std::size_t{5}}) {
+    RoundReply reply;
+    reply.update.psi = {0.5f, 1.5f};
+    reply.update.theta.assign(theta_count, 1.0f);
+    const std::vector<std::byte> payload = encode_round_reply(reply);
+    EXPECT_EQ(decode_error_code([&] { (void)decode_round_reply_into(payload, arena.row(0)); }),
+              DecodeErrorCode::BadShape)
+        << "theta count " << theta_count;
+  }
+  RoundReply reply;
+  reply.update.psi = {0.5f, 1.5f};
+  reply.update.theta.assign(4, 1.0f);
+  EXPECT_EQ(decode_round_reply_into(encode_round_reply(reply), arena.row(0)), 0u);
+  EXPECT_EQ(arena.meta(0).theta_count, 4u);
+}
+
+TEST(TelemetryRelay, ForgedCounterNamesAreDroppedAndCounted) {
+  // A relayed name reaches the /metrics text raw, so one carrying a newline
+  // could forge whole exposition lines. Only Prometheus series names relay.
+  obs::Registry& registry = obs::Registry::global();
+  const std::string dropped = "net_telemetry_dropped_names_total";
+  const std::uint64_t dropped0 = registry.counter_value(dropped);
+  const std::vector<std::string> hostile{
+      "evil_total\nfl_rounds_total 999999\nx0",
+      "",
+      "9starts_with_digit",
+      "has space",
+      "open{",
+      "empty{}",
+      "unterminated{k=\"v\"",
+      "trailing_comma{k=\"v\",}",
+      "unquoted{k=v}",
+      "colon_label{a:b=\"v\"}",
+      "quote_in_value{k=\"a\\\"b\"}",
+      "bare_quote_in_value{k=\"a\"b\"}",
+      "newline_in_value{k=\"a\nb\"}",
+      "after_block{k=\"v\"}x",
+  };
+  const std::vector<std::string> relayable{
+      "relay_ok_total",
+      "relay:ok_total",
+      "relay_ok_total{shard=\"1\",kind=\"a b=c,d}\"}",
+  };
+  TelemetryFrame report;
+  report.sender_id = 77;
+  for (const std::string& name : hostile) report.counter_deltas.emplace_back(name, 5);
+  for (const std::string& name : relayable) report.counter_deltas.emplace_back(name, 3);
+  (void)ingest_telemetry_report(report, obs::now_ns());
+
+  EXPECT_EQ(registry.counter_value(dropped) - dropped0, hostile.size());
+  for (const std::string& name : relayable) {
+    EXPECT_EQ(registry.counter_value(with_origin_label(name, 77)), 3u) << name;
+  }
+  const std::string text = registry.prometheus_text();
+  EXPECT_EQ(text.find("\nfl_rounds_total 999999\n"), std::string::npos) << "forged line";
+  EXPECT_EQ(text.find("\nx0{"), std::string::npos) << "forged series";
 }
 
 TEST(Sockets, LoopbackSendReceive) {
@@ -866,6 +930,61 @@ TEST_F(RemoteFixture, HostileTelemetryFrameWithoutHelloLeavesTheShardRunning) {
                 history.rounds[0].corrupt_frames,
             0u);
   for (const std::size_t n : rounds_served) EXPECT_EQ(n, 1u);
+}
+
+TEST_F(RemoteFixture, ShortThetaReplyIsACorruptFrameNotAProcessExit) {
+  // A FedGuard peer whose θ is one float short must cost its own slot as a
+  // corrupt frame; it must not reach the strategy on the shard thread.
+  defenses::FedGuardConfig fg;
+  fg.cvae_spec = cvae_spec();
+  fg.total_samples = 20;
+  const auto make_strategy = [&] {
+    return std::make_unique<defenses::FedGuardAggregator>(fg, models::ClassifierArch::Mlp,
+                                                          geometry, 641);
+  };
+  const std::size_t theta_dim = make_strategy()->decoder_parameter_count();
+  HierarchicalServerConfig config;
+  config.expected_clients = 2;
+  config.clients_per_round = 2;
+  config.rounds = 1;
+  config.seed = 642;
+  HierarchicalServer server{config, make_strategy, test, models::ClassifierArch::Mlp,
+                            geometry};
+  const std::uint16_t port = server.shard_port(0);
+
+  fl::Client honest{0,        train,    partition[0], client_config(true),
+                    models::ClassifierArch::Mlp, geometry, cvae_spec(), 643};
+  std::thread honest_thread{[&] { (void)run_remote_client("127.0.0.1", port, honest); }};
+  std::thread hostile_thread{[&] {
+    TcpStream stream = TcpStream::connect("127.0.0.1", port);
+    stream.set_receive_timeout(std::chrono::milliseconds{60000});
+    stream.send_message({MessageType::Hello, encode_hello(1)});
+    for (;;) {
+      Message message;
+      try {
+        message = stream.receive_message();
+      } catch (const std::exception&) {
+        break;  // the server closed the link at teardown
+      }
+      if (message.type != MessageType::RoundRequest) break;
+      const RoundRequest request = decode_round_request(message.payload);
+      RoundReply reply;
+      reply.round = request.round;
+      reply.update.client_id = 1;
+      reply.update.num_samples = 10;
+      reply.update.psi = request.global_parameters;
+      reply.update.theta.assign(theta_dim - 1, 0.0f);
+      stream.send_message({MessageType::RoundReply, encode_round_reply(reply)});
+    }
+  }};
+  const fl::RunHistory history = server.run();
+  honest_thread.join();
+  hostile_thread.join();
+
+  ASSERT_EQ(history.rounds.size(), 1u);
+  EXPECT_EQ(history.rounds[0].sampled_clients, 2u);
+  EXPECT_EQ(history.rounds[0].corrupt_frames, 1u);
+  EXPECT_EQ(history.rounds[0].dropouts + history.rounds[0].timeouts, 0u);
 }
 
 TEST_F(RemoteFixture, StrayClientIdsAreRefusedDuringAcceptPhase) {

@@ -145,17 +145,6 @@ TEST(Rng, SampleWithoutReplacementIsUniform) {
   for (const int c : counts) EXPECT_NEAR(c, 1500, 200);
 }
 
-TEST(Rng, ForkProducesIndependentStreams) {
-  Rng parent{47};
-  Rng child_a = parent.fork(0);
-  Rng child_b = parent.fork(1);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (child_a() == child_b()) ++same;
-  }
-  EXPECT_EQ(same, 0);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng{53};
   std::vector<int> values(100);

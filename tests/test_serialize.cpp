@@ -69,18 +69,6 @@ TEST(Serialize, WrappedFloatCountIsAnUnderrun) {
   EXPECT_EQ(reader.read_f32_vector(2), (std::vector<float>{1.0f, 2.0f}));
 }
 
-TEST(Serialize, FileRoundTrip) {
-  const std::string path = std::filesystem::temp_directory_path() / "fedguard_vec_test.bin";
-  const std::vector<float> values{0.5f, 1.5f, -2.0f};
-  save_f32_vector(path, values);
-  EXPECT_EQ(load_f32_vector(path), values);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, LoadMissingFileThrows) {
-  EXPECT_THROW((void)load_f32_vector("/nonexistent/path/vec.bin"), std::runtime_error);
-}
-
 TEST(Csv, EscapeRules) {
   EXPECT_EQ(csv_escape("plain"), "plain");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");

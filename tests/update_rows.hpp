@@ -66,12 +66,6 @@ inline defenses::AggregationResult aggregate(defenses::AggregationStrategy& stra
   return result;
 }
 
-inline defenses::DetectionStats detection_stats(std::span<const Row> rows,
-                                                const defenses::AggregationResult& result) {
-  const defenses::UpdateMatrix matrix = matrix_of(rows);
-  return defenses::compute_detection_stats(defenses::UpdateView{matrix}, result);
-}
-
 /// One client round into a fresh row with room for `theta_capacity` decoder
 /// floats. θ is trimmed to the length the client reported, so a client that
 /// trains no CVAE comes back with an empty θ.
