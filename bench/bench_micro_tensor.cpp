@@ -1,12 +1,16 @@
-// Micro-benchmarks of the numeric substrate: GEMM variants, im2col, and full
-// layer forward/backward passes at the shapes used by the paper's models.
+// Micro-benchmarks of the numeric substrate: GEMM variants, im2col, full
+// layer forward/backward passes and optimizer steps at the shapes used by the
+// paper's models.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "nn/optimizer.hpp"
 #include "parallel/kernel_config.hpp"
 #include "tensor/kernels/kernel_arch.hpp"
 #include "tensor/ops.hpp"
@@ -208,6 +212,50 @@ void BM_SoftmaxRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SoftmaxRows)->Unit(benchmark::kMicrosecond);
+
+/// Parameters of the given shapes with random values and gradients.
+std::vector<std::unique_ptr<nn::Parameter>> random_parameters(
+    const std::vector<std::vector<std::size_t>>& shapes) {
+  std::vector<std::unique_ptr<nn::Parameter>> out;
+  std::uint64_t seed = 20;
+  for (const auto& shape : shapes) {
+    auto p = std::make_unique<nn::Parameter>(shape, "p");
+    p->value = random_tensor(shape, ++seed);
+    p->grad = random_tensor(shape, ++seed);
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+std::vector<nn::Parameter*> pointers(const std::vector<std::unique_ptr<nn::Parameter>>& params) {
+  std::vector<nn::Parameter*> out;
+  for (const auto& p : params) out.push_back(p.get());
+  return out;
+}
+
+void BM_AdamStep(benchmark::State& state) {
+  // The small-scale CVAE a client trains (hidden 96, latent 2): encoder
+  // 794 -> 96, two 96 -> 2 heads, decoder 12 -> 96 -> 794; 154,974 floats.
+  const auto params = random_parameters({{96, 794}, {96}, {2, 96}, {2}, {2, 96}, {2},
+                                         {96, 12}, {96}, {794, 96}, {794}});
+  nn::Adam adam{pointers(params), 3e-3f};
+  for (auto _ : state) {
+    adam.step();
+    benchmark::DoNotOptimize(params.front()->value.raw());
+  }
+}
+BENCHMARK(BM_AdamStep)->Unit(benchmark::kMicrosecond);
+
+void BM_SgdMomentumStep(benchmark::State& state) {
+  // The MLP classifier every client trains each round: 784 -> 128 -> 10.
+  const auto params = random_parameters({{128, 784}, {128}, {10, 128}, {10}});
+  nn::Sgd sgd{pointers(params), 0.01f, 0.9f};
+  for (auto _ : state) {
+    sgd.step();
+    benchmark::DoNotOptimize(params.front()->value.raw());
+  }
+}
+BENCHMARK(BM_SgdMomentumStep)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -71,7 +71,7 @@ class RoundCollector {
   /// Fill `partials` (one per shard, arriving cleared; client_count 0 means
   /// nothing to merge) and the record's traffic, fault, ejection and
   /// rejection fields. Returns true when the round is degraded (a shard was
-  /// dead or missed its deadline).
+  /// dead, missed its deadline or failed to aggregate).
   virtual bool collect(const RoundPlan& plan, std::vector<defenses::ShardPartial>& partials,
                        RoundRecord& record) = 0;
 

@@ -34,7 +34,7 @@ std::unique_ptr<nn::Sequential> build_classifier_network(ClassifierArch arch,
                                                          const ImageGeometry& g,
                                                          std::uint64_t seed) {
   util::Rng rng{seed};
-  auto net = std::make_unique<nn::Sequential>();
+  auto net = std::make_unique<nn::Sequential>("clf");
   switch (arch) {
     case ClassifierArch::PaperCnn: {
       // Table II. Padding-2 "same" convolutions; pooling halves 28->14->7.

@@ -10,7 +10,8 @@
 
 namespace fedguard::models {
 
-CvaeDecoder::CvaeDecoder(const CvaeSpec& spec, std::uint64_t seed) : spec_{spec} {
+CvaeDecoder::CvaeDecoder(const CvaeSpec& spec, std::uint64_t seed)
+    : spec_{spec}, network_{"cvae.dec"} {
   util::Rng rng{seed};
   network_.emplace<nn::Linear>(spec.decoder_input(), spec.hidden, rng);
   network_.emplace<nn::ReLU>();

@@ -34,6 +34,7 @@ void ShardRoundReport::clear() noexcept {
   rejected_benign = 0;
   upload_bytes = 0;
   download_bytes = 0;
+  aggregate_failed = false;
 }
 
 // ---- ShardAggregator ---------------------------------------------------------
@@ -62,6 +63,7 @@ ShardAggregator::ShardAggregator(ShardConfig config,
   corrupt_frames_total_ = registry.counter("net_shard_corrupt_frames_total" + label);
   rounds_total_ = registry.counter("net_shard_rounds_total" + label);
   timeouts_total_ = registry.counter("net_shard_timeouts_total" + label);
+  aggregate_errors_total_ = registry.counter("net_shard_aggregate_errors_total" + label);
   refused_hellos_total_ = registry.counter("net_shard_refused_hellos_total" + label);
   telemetry_reports_total_ = registry.counter("net_shard_telemetry_reports_total" + label);
   telemetry_events_total_ = registry.counter("net_shard_telemetry_events_total" + label);
@@ -432,12 +434,23 @@ void ShardAggregator::publish_partial() {
     defenses::AggregationContext context;
     context.round = round_command_.round;
     context.global_parameters = *round_command_.global_parameters;
-    strategy_->partial_aggregate_into(context, view, config_.shard_id, partial);
-    fl::tally_rejections(view, partial, building_.rejected_malicious,
-                         building_.rejected_benign);
+    try {
+      strategy_->partial_aggregate_into(context, view, config_.shard_id, partial);
+      fl::tally_rejections(view, partial, building_.rejected_malicious,
+                           building_.rejected_benign);
+    } catch (const std::exception& e) {
+      // The shard thread's boundary: an escaping exception would end the
+      // process. The cohort's uploads are lost for this round, nothing more.
+      util::log_warn("shard %zu: aggregation failed in round %zu (%s); publishing an "
+                     "empty partial",
+                     config_.shard_id, round_command_.round, e.what());
+      aggregate_errors_total_.add(1);
+      partial.clear();
+      building_.aggregate_failed = true;
+    }
   }
-  // (0 replies: the partial stays cleared with client_count == 0 — the root
-  // skips it when merging.)
+  // (0 replies or a failed aggregation: the partial stays cleared with
+  // client_count == 0 — the root skips it when merging.)
   in_round_ = false;
   rounds_total_.add(1);
   {
@@ -705,6 +718,7 @@ bool HierarchicalServer::collect(const fl::RoundPlan& plan,
       continue;
     }
     std::swap(partials[shard], report.partial);
+    if (report.aggregate_failed) degraded = true;
     record.dropouts += report.dropouts;
     record.timeouts += report.timeouts;
     record.corrupt_frames += report.corrupt_frames;

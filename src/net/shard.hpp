@@ -33,8 +33,9 @@
 // Threading: each shard runs one reactor thread; the root communicates
 // through a mutex-guarded mailbox (start_round / stop) plus Reactor::wake,
 // and collects reports with a deadline-bounded condition-variable wait.
-// A shard that dies (kill) or misses the deadline simply contributes an
-// empty partial — the root merges whatever arrived (graceful degradation).
+// A shard that dies (kill), misses the deadline or whose strategy throws
+// simply contributes an empty partial — the root merges whatever arrived
+// and records the round as degraded (graceful degradation).
 
 #include <cstdint>
 #include <functional>
@@ -89,6 +90,8 @@ struct ShardRoundReport {
   std::size_t rejected_benign = 0;
   std::size_t upload_bytes = 0;    // RoundRequest frames, header included
   std::size_t download_bytes = 0;  // RoundReply frames, header included
+  /// The strategy threw on this cohort; the partial was published cleared.
+  bool aggregate_failed = false;
 
   /// Zeroes every tally, keeping buffer capacity for round reuse.
   void clear() noexcept;
@@ -217,6 +220,7 @@ class ShardAggregator {
   obs::Counter corrupt_frames_total_;
   obs::Counter rounds_total_;
   obs::Counter timeouts_total_;
+  obs::Counter aggregate_errors_total_;
   obs::Counter refused_hellos_total_;
   obs::Counter telemetry_reports_total_;
   obs::Counter telemetry_events_total_;

@@ -23,21 +23,27 @@ Sgd::Sgd(std::vector<Parameter*> parameters, float learning_rate, float momentum
 }
 
 void Sgd::step() {
+  // Hyperparameters live in locals: a float store through `value` or `vel`
+  // may alias a member, so reading members in the loop reloads them every
+  // element and keeps the loop scalar.
+  const float learning_rate = learning_rate_;
+  const float momentum = momentum_;
+  const float weight_decay = weight_decay_;
   for (std::size_t k = 0; k < parameters_.size(); ++k) {
     Parameter& p = *parameters_[k];
     auto value = p.value.data();
     auto grad = p.grad.data();
-    if (momentum_ != 0.0f) {
+    if (momentum != 0.0f) {
       auto vel = velocity_[k].data();
       for (std::size_t i = 0; i < value.size(); ++i) {
-        const float g = grad[i] + weight_decay_ * value[i];
-        vel[i] = momentum_ * vel[i] + g;
-        value[i] -= learning_rate_ * vel[i];
+        const float g = grad[i] + weight_decay * value[i];
+        vel[i] = momentum * vel[i] + g;
+        value[i] -= learning_rate * vel[i];
       }
     } else {
       for (std::size_t i = 0; i < value.size(); ++i) {
-        const float g = grad[i] + weight_decay_ * value[i];
-        value[i] -= learning_rate_ * g;
+        const float g = grad[i] + weight_decay * value[i];
+        value[i] -= learning_rate * g;
       }
     }
   }
@@ -64,6 +70,13 @@ void Adam::step() {
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_count_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_count_));
   const float alpha = learning_rate_ * std::sqrt(bias2) / bias1;
+  // Same hoisting as Sgd::step. The packed sqrt/div this loop compiles to
+  // also needs -fno-math-errno (src/nn/CMakeLists.txt); both round exactly
+  // like their scalar forms, so the result is bit-identical.
+  const float beta1 = beta1_;
+  const float beta2 = beta2_;
+  const float epsilon = epsilon_;
+  const float weight_decay = weight_decay_;
   for (std::size_t k = 0; k < parameters_.size(); ++k) {
     Parameter& p = *parameters_[k];
     auto value = p.value.data();
@@ -71,10 +84,10 @@ void Adam::step() {
     auto m = m_[k].data();
     auto v = v_[k].data();
     for (std::size_t i = 0; i < value.size(); ++i) {
-      const float g = grad[i] + weight_decay_ * value[i];
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g;
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g * g;
-      value[i] -= alpha * m[i] / (std::sqrt(v[i]) + epsilon_);
+      const float g = grad[i] + weight_decay * value[i];
+      m[i] = beta1 * m[i] + (1.0f - beta1) * g;
+      v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
+      value[i] -= alpha * m[i] / (std::sqrt(v[i]) + epsilon);
     }
   }
 }

@@ -39,6 +39,10 @@ class Sgd final : public Optimizer {
 
   void set_learning_rate(float lr) noexcept { learning_rate_ = lr; }
   [[nodiscard]] float learning_rate() const noexcept { return learning_rate_; }
+  /// Momentum buffers in parameter order (empty when momentum is 0).
+  [[nodiscard]] const std::vector<tensor::Tensor>& velocity() const noexcept {
+    return velocity_;
+  }
 
  private:
   float learning_rate_;
@@ -57,6 +61,11 @@ class Adam final : public Optimizer {
 
   void set_learning_rate(float lr) noexcept { learning_rate_ = lr; }
   [[nodiscard]] float learning_rate() const noexcept { return learning_rate_; }
+  /// First (m) and second (v) moment estimates in parameter order.
+  [[nodiscard]] const std::vector<tensor::Tensor>& first_moments() const noexcept { return m_; }
+  [[nodiscard]] const std::vector<tensor::Tensor>& second_moments() const noexcept {
+    return v_;
+  }
 
  private:
   float learning_rate_;

@@ -11,6 +11,11 @@ Sequential& Sequential::add(std::unique_ptr<Module> layer) {
   return *this;
 }
 
+std::string Sequential::layer_span_name(std::size_t i) const {
+  std::string label = std::to_string(i) + "-" + layers_[i]->name();
+  return model_name_.empty() ? label : model_name_ + "." + label;
+}
+
 tensor::Tensor Sequential::forward(const tensor::Tensor& input) {
   tensor::Tensor current = input;
 #if defined(FEDGUARD_TRACE_ENABLED)
@@ -19,8 +24,7 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& input) {
   // for the per-layer name strings.
   if (obs::TraceSession::active()) {
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-      FEDGUARD_TRACE_SPAN("layer.forward",
-                          std::to_string(i) + ":" + layers_[i]->name());
+      FEDGUARD_TRACE_SPAN("layer.forward", layer_span_name(i));
       current = layers_[i]->forward(current);
     }
     return current;
@@ -35,8 +39,7 @@ tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
 #if defined(FEDGUARD_TRACE_ENABLED)
   if (obs::TraceSession::active()) {
     for (std::size_t i = layers_.size(); i-- > 0;) {
-      FEDGUARD_TRACE_SPAN("layer.backward",
-                          std::to_string(i) + ":" + layers_[i]->name());
+      FEDGUARD_TRACE_SPAN("layer.backward", layer_span_name(i));
       current = layers_[i]->backward(current);
     }
     return current;

@@ -3,6 +3,7 @@
 // gradients in reverse. Owns its children.
 
 #include <memory>
+#include <string>
 
 #include "nn/module.hpp"
 
@@ -10,7 +11,10 @@ namespace fedguard::nn {
 
 class Sequential final : public Module {
  public:
-  Sequential() = default;
+  /// `model_name` is set by the owner ("clf", "cvae.dec") and names the
+  /// layer spans: layer 1 of "clf" traces as `clf.1-Linear`. An unnamed
+  /// container traces as `1-Linear`.
+  explicit Sequential(std::string model_name = {}) : model_name_{std::move(model_name)} {}
 
   /// Append a layer; returns a reference for inline chaining.
   Sequential& add(std::unique_ptr<Module> layer);
@@ -33,6 +37,9 @@ class Sequential final : public Module {
   [[nodiscard]] Module& layer(std::size_t i) noexcept { return *layers_[i]; }
 
  private:
+  [[nodiscard]] std::string layer_span_name(std::size_t i) const;
+
+  std::string model_name_;
   std::vector<std::unique_ptr<Module>> layers_;
 };
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -21,6 +23,7 @@
 #include "net/telemetry_relay.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/metrics.hpp"
+#include "util/check.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
@@ -985,6 +988,80 @@ TEST_F(RemoteFixture, ShortThetaReplyIsACorruptFrameNotAProcessExit) {
   EXPECT_EQ(history.rounds[0].sampled_clients, 2u);
   EXPECT_EQ(history.rounds[0].corrupt_frames, 1u);
   EXPECT_EQ(history.rounds[0].dropouts + history.rounds[0].timeouts, 0u);
+}
+
+/// Metadata-routing mean whose shard-side aggregation throws once per
+/// federation (the shared flag), as validate_view does on a non-finite row
+/// under FEDGUARD_ASSERTS.
+class ThrowsOnceAggregator final : public defenses::AggregationStrategy {
+ public:
+  explicit ThrowsOnceAggregator(std::shared_ptr<std::atomic<bool>> thrown)
+      : thrown_{std::move(thrown)} {}
+  [[nodiscard]] std::string name() const override { return "throws_once"; }
+
+ private:
+  void do_aggregate(const defenses::AggregationContext& /*context*/,
+                    const defenses::UpdateView& updates,
+                    defenses::AggregationResult& out) override {
+    if (!thrown_->exchange(true)) throw util::CheckError{"injected aggregation failure"};
+    defenses::weighted_mean_into(updates, accumulator_, out.parameters);
+  }
+
+  std::shared_ptr<std::atomic<bool>> thrown_;
+  std::vector<double> accumulator_;
+};
+
+TEST_F(RemoteFixture, ThrowingShardStrategyDegradesTheRoundNotTheProcess) {
+  // An exception out of the strategy on a shard thread must cost that
+  // shard's cohort one round (an empty partial, a counted error), and the
+  // root must record the round as degraded even though the other shard
+  // merged. The next round must aggregate every cohort normally.
+  HierarchicalServerConfig config;
+  config.shards = 2;
+  config.expected_clients = 4;
+  config.clients_per_round = 4;
+  config.rounds = 2;
+  config.seed = 651;
+  const auto thrown = std::make_shared<std::atomic<bool>>(false);
+  HierarchicalServer server{
+      config, [&] { return std::make_unique<ThrowsOnceAggregator>(thrown); }, test,
+      models::ClassifierArch::Mlp, geometry};
+  obs::Registry& registry = obs::Registry::global();
+  const auto errors = [&] {
+    return registry.counter_value("net_shard_aggregate_errors_total{shard=\"0\"}") +
+           registry.counter_value("net_shard_aggregate_errors_total{shard=\"1\"}");
+  };
+  const std::string degraded = "net_root_degraded_rounds_total";
+  const std::uint64_t errors0 = errors();
+  const std::uint64_t degraded0 = registry.counter_value(degraded);
+
+  std::vector<std::unique_ptr<fl::Client>> clients;
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> rounds_served(4, 0);
+  for (std::size_t i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<fl::Client>(
+        static_cast<int>(i), train, partition[i], client_config(false),
+        models::ClassifierArch::Mlp, geometry, cvae_spec(), 652 + i));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    threads.emplace_back([&, i] {
+      rounds_served[i] =
+          run_remote_client("127.0.0.1", server.shard_port(server.shard_of(i)), *clients[i]);
+    });
+  }
+  const fl::RunHistory history = server.run();
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_EQ(history.rounds.size(), 2u);
+  EXPECT_EQ(errors() - errors0, 1u);
+  EXPECT_EQ(registry.counter_value(degraded) - degraded0, 1u);
+  EXPECT_EQ(history.rounds[0].stragglers, 2u) << "the failed shard's cohort merges nothing";
+  EXPECT_EQ(history.rounds[1].stragglers, 0u);
+  for (const auto& record : history.rounds) {
+    EXPECT_EQ(record.sampled_clients, 4u);
+    EXPECT_EQ(record.dropouts + record.timeouts + record.corrupt_frames, 0u);
+  }
+  for (const std::size_t n : rounds_served) EXPECT_EQ(n, 2u);
 }
 
 TEST_F(RemoteFixture, StrayClientIdsAreRefusedDuringAcceptPhase) {

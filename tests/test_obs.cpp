@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "core/runner.hpp"
+#include "models/classifier.hpp"
+#include "models/cvae.hpp"
 #include "obs/exporter.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/metrics.hpp"
@@ -533,6 +535,43 @@ TEST_F(ObsTest, MakeTraceIdIsSeedAndRoundSensitive) {
   EXPECT_NE(make_trace_id(1, 0), make_trace_id(2, 0));
   EXPECT_EQ(make_trace_id(7, 5), make_trace_id(7, 5));
   EXPECT_NE(make_trace_id(0, 0), 0u) << "trace id 0 means 'none'";
+}
+
+TEST_F(ObsTest, LayerSpansNameTheirModel) {
+#if !defined(FEDGUARD_TRACE_ENABLED)
+  GTEST_SKIP() << "tracing compiled out";
+#else
+  // Layer spans carry `<model>.<index>-<layer>`, the names perfbench uses
+  // for its nn.* layer metrics, so a trace and the ledger line up.
+  const models::ImageGeometry geometry{1, 28, 28, 10};
+  auto classifier = models::build_classifier_network(models::ClassifierArch::Mlp, geometry, 5);
+  models::CvaeSpec spec;
+  spec.hidden = 16;
+  spec.latent = 2;
+  models::CvaeDecoder decoder{spec, 6};
+  std::vector<TraceEventRecord> events;
+  {
+    TraceSession session{std::string{}};
+    const tensor::Tensor logits = classifier->forward(tensor::Tensor{{2, 1, 28, 28}, 0.5f});
+    (void)classifier->backward(tensor::Tensor{logits.shape(), 1.0f});
+    const tensor::Tensor raw =
+        decoder.forward_raw(tensor::Tensor{{2, spec.decoder_input()}, 0.5f});
+    (void)decoder.backward_raw(tensor::Tensor{raw.shape(), 1.0f});
+    events = session.take_events();
+  }
+  std::map<std::string, std::size_t> begins;
+  for (const TraceEventRecord& event : events) {
+    if (event.phase == 'B') ++begins[event.category + " " + event.name];
+  }
+  for (const char* category : {"layer.forward", "layer.backward"}) {
+    const std::string prefix = std::string{category} + " ";
+    EXPECT_EQ(begins[prefix + "clf.0-Flatten"], 1u);
+    EXPECT_EQ(begins[prefix + "clf.1-Linear"], 1u);
+    EXPECT_EQ(begins[prefix + "clf.3-Linear"], 1u);
+    EXPECT_EQ(begins[prefix + "cvae.dec.0-Linear"], 1u);
+    EXPECT_EQ(begins[prefix + "cvae.dec.3-Sigmoid"], 1u);
+  }
+#endif
 }
 
 TEST_F(ObsTest, TakeEventsIngestRoundTripKeepsForeignPidLane) {
